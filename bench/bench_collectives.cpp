@@ -1,12 +1,11 @@
-// Collective-schedule and transport benchmark: tree vs scalable schedules,
-// payload pool on vs off.
+// Collective-schedule and transport benchmark: tree vs scalable schedules
+// and the payload pool's allocation savings.
 //
 // For each workload x rank count the harness runs the seed tree schedules
 // and the scalable schedules (PLIN_XMPI_COLL=scalable equivalent) and
 // records the virtual duration, the bytes funneled through rank 0
 // (send + recv side, `TrafficCounters::through_bytes`), total message
-// counts and host wall-clock. A pool-off run of the tree schedule gives
-// the per-message allocation baseline the payload pool removes.
+// counts, payload acquires vs heap allocations and host wall-clock.
 //
 // Output: a table plus machine-readable `BENCH_collectives.json`
 // (schema powerlin-bench-collectives/v1).
@@ -17,8 +16,9 @@
 //   --check     exit nonzero unless, at the largest rank count,
 //               (a) the scalable allgather and allreduce move >= 2x less
 //                   bytes through rank 0 than the tree schedules, and
-//               (b) the pool removes heap allocations (pool-on misses <
-//                   pool-off misses).
+//               (b) the pool removes heap allocations (misses < payload
+//                   acquires; without recycling every acquire would
+//                   allocate).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -35,8 +35,7 @@ namespace {
 
 using namespace plin;
 
-xmpi::RunConfig harness_config(int ranks, xmpi::CollectiveMode collectives,
-                               xmpi::PoolMode pool) {
+xmpi::RunConfig harness_config(int ranks, xmpi::CollectiveMode collectives) {
   // Same fully loaded mini-cluster shape as bench_xmpi (2 sockets x 8
   // cores per node, just enough nodes for the rank count).
   constexpr int kCoresPerSocket = 8;
@@ -45,9 +44,7 @@ xmpi::RunConfig harness_config(int ranks, xmpi::CollectiveMode collectives,
   config.machine = hw::mini_cluster(std::max(nodes, 1), kCoresPerSocket);
   config.placement = hw::make_placement(ranks, hw::LoadLayout::kFullLoad,
                                         config.machine);
-  config.executor = xmpi::ExecutorKind::kWorkerPool;
   config.transport.collectives = collectives;
-  config.transport.pool = pool;
   return config;
 }
 
@@ -126,14 +123,15 @@ struct ModeSample {
   double host_s = 0.0;          // best-of-N wall clock
   std::uint64_t root_bytes = 0;  // rank 0 through_bytes()
   std::uint64_t messages = 0;   // world total (send-side)
+  std::uint64_t acquires = 0;   // payload buffers requested (eager sends)
   std::uint64_t allocs = 0;     // payload-pool misses = heap allocations
   std::uint64_t pool_hits = 0;
   std::uint64_t rendezvous = 0;
 };
 
 ModeSample sample(const WorkloadSpec& spec, int ranks,
-                  xmpi::CollectiveMode collectives, xmpi::PoolMode pool) {
-  const xmpi::RunConfig config = harness_config(ranks, collectives, pool);
+                  xmpi::CollectiveMode collectives) {
+  const xmpi::RunConfig config = harness_config(ranks, collectives);
   ModeSample out;
   const auto once = [&] {
     const xmpi::RunResult run = xmpi::Runtime::run(config, spec.body);
@@ -142,6 +140,7 @@ ModeSample sample(const WorkloadSpec& spec, int ranks,
                          ? 0
                          : run.rank_traffic.front().through_bytes();
     out.messages = run.traffic.data_messages + run.traffic.control_messages;
+    out.acquires = run.transport.pool.acquires();
     out.allocs = run.transport.pool.misses;
     out.pool_hits = run.transport.pool.hits;
     out.rendezvous = run.transport.rendezvous_messages;
@@ -159,7 +158,6 @@ struct CaseResult {
   bool gated = false;
   ModeSample tree;
   ModeSample scalable;
-  std::uint64_t pool_off_allocs = 0;  // tree schedule, pool disabled
 
   double root_ratio() const {
     return scalable.root_bytes > 0
@@ -190,6 +188,7 @@ bool write_json(const std::string& path, bool smoke,
       out << "\"" << key << "\": {\"duration_s\": " << fmt(m.duration_s)
           << ", \"root_through_bytes\": " << m.root_bytes
           << ", \"messages\": " << m.messages
+          << ", \"acquires\": " << m.acquires
           << ", \"alloc_count\": " << m.allocs
           << ", \"pool_hits\": " << m.pool_hits
           << ", \"rendezvous_messages\": " << m.rendezvous
@@ -200,8 +199,7 @@ bool write_json(const std::string& path, bool smoke,
     mode_json("tree", r.tree);
     out << ", ";
     mode_json("scalable", r.scalable);
-    out << ", \"root_bytes_ratio\": " << fmt(r.root_ratio())
-        << ", \"pool_off_alloc_count\": " << r.pool_off_allocs << "}";
+    out << ", \"root_bytes_ratio\": " << fmt(r.root_ratio()) << "}";
   }
   out << "\n  ]\n}\n";
   return static_cast<bool>(out.flush());
@@ -218,27 +216,22 @@ int run_harness(bool smoke, bool check, const std::string& out_path) {
       r.workload = spec.name;
       r.ranks = ranks;
       r.gated = spec.gated;
-      r.tree = sample(spec, ranks, xmpi::CollectiveMode::kTree,
-                      xmpi::PoolMode::kOn);
-      r.scalable = sample(spec, ranks, xmpi::CollectiveMode::kScalable,
-                          xmpi::PoolMode::kOn);
-      r.pool_off_allocs = sample(spec, ranks, xmpi::CollectiveMode::kTree,
-                                 xmpi::PoolMode::kOff)
-                              .allocs;
+      r.tree = sample(spec, ranks, xmpi::CollectiveMode::kTree);
+      r.scalable = sample(spec, ranks, xmpi::CollectiveMode::kScalable);
       results.push_back(std::move(r));
     }
   }
 
   std::printf("%-16s %6s | %14s %14s %7s | %10s %10s %10s\n", "workload",
-              "ranks", "tree root B", "scal root B", "ratio", "allocs off",
-              "allocs on", "rndzvs");
+              "ranks", "tree root B", "scal root B", "ratio", "acquires",
+              "allocs", "rndzvs");
   for (const CaseResult& r : results) {
     std::printf("%-16s %6d | %14llu %14llu %6.2fx | %10llu %10llu %10llu\n",
                 r.workload.c_str(), r.ranks,
                 static_cast<unsigned long long>(r.tree.root_bytes),
                 static_cast<unsigned long long>(r.scalable.root_bytes),
                 r.root_ratio(),
-                static_cast<unsigned long long>(r.pool_off_allocs),
+                static_cast<unsigned long long>(r.tree.acquires),
                 static_cast<unsigned long long>(r.tree.allocs),
                 static_cast<unsigned long long>(r.tree.rendezvous));
   }
@@ -255,13 +248,14 @@ int run_harness(bool smoke, bool check, const std::string& out_path) {
   // Rendezvous delivery already bypasses the allocator for most exact-match
   // receives, so the pool's remaining win is gated in aggregate over the
   // whole sweep rather than per workload (any single case can legitimately
-  // go ~all-rendezvous under favourable host scheduling).
-  std::uint64_t allocs_on = 0;
-  std::uint64_t allocs_off = 0;
+  // go ~all-rendezvous under favourable host scheduling). Without the
+  // pool every acquire would be a heap allocation.
+  std::uint64_t allocs = 0;
+  std::uint64_t acquires = 0;
   for (const CaseResult& r : results) {
     if (r.ranks != largest) continue;
-    allocs_on += r.tree.allocs;
-    allocs_off += r.pool_off_allocs;
+    allocs += r.tree.allocs;
+    acquires += r.tree.acquires;
     if (r.gated && r.root_ratio() < 2.0) {
       std::fprintf(stderr,
                    "FAIL: %s at %d ranks moves only %.2fx less data through "
@@ -270,12 +264,12 @@ int run_harness(bool smoke, bool check, const std::string& out_path) {
       ++failures;
     }
   }
-  if (allocs_on >= allocs_off) {
+  if (allocs >= acquires) {
     std::fprintf(stderr,
-                 "FAIL: pool-on allocations (%llu) not below pool-off "
+                 "FAIL: heap allocations (%llu) not below payload acquires "
                  "(%llu) at %d ranks\n",
-                 static_cast<unsigned long long>(allocs_on),
-                 static_cast<unsigned long long>(allocs_off), largest);
+                 static_cast<unsigned long long>(allocs),
+                 static_cast<unsigned long long>(acquires), largest);
     ++failures;
   }
   return failures == 0 ? 0 : 1;

@@ -68,14 +68,13 @@ JobRecord record_from_json(const json::Value& value) {
   record.spec.machine = spec.at("machine").as_string();
   record.spec.algorithm =
       parse_algorithm_token(spec.at("algorithm").as_string());
-  record.spec.n = static_cast<std::size_t>(spec.at("n").as_number());
-  record.spec.ranks = static_cast<int>(spec.at("ranks").as_number());
+  record.spec.n = spec.at("n").as_integral<std::size_t>();
+  record.spec.ranks = spec.at("ranks").as_integral<int>();
   record.spec.layout = parse_layout_token(spec.at("layout").as_string());
-  record.spec.nb = static_cast<std::size_t>(spec.at("nb").as_number());
-  record.spec.seed = static_cast<std::uint64_t>(spec.at("seed").as_number());
-  record.spec.repetitions = static_cast<int>(spec.at("reps").as_number());
-  record.spec.iterations =
-      static_cast<int>(spec.at("iterations").as_number());
+  record.spec.nb = spec.at("nb").as_integral<std::size_t>();
+  record.spec.seed = spec.at("seed").as_integral<std::uint64_t>();
+  record.spec.repetitions = spec.at("reps").as_integral<int>();
+  record.spec.iterations = spec.at("iterations").as_integral<int>();
   record.spec.power_cap_w = spec.at("power_cap_w").as_number();
   if (const json::Value* precision = spec.find("precision")) {
     record.spec.precision = parse_precision_token(precision->as_string());
@@ -97,16 +96,16 @@ JobRecord record_from_json(const json::Value& value) {
     rep.residual = r.at("residual").as_number();
     rep.host_s = r.at("host_s").as_number();
     if (const json::Value* iters = r.find("cg_iters")) {
-      rep.cg_iters = static_cast<int>(iters->as_number());
+      rep.cg_iters = iters->as_integral<int>();
     }
     if (const json::Value* nnz = r.find("nnz")) {
-      rep.nnz = static_cast<std::size_t>(nnz->as_number());
+      rep.nnz = nnz->as_integral<std::size_t>();
     }
     if (const json::Value* msgs = r.find("halo_msgs")) {
-      rep.halo_messages = static_cast<std::uint64_t>(msgs->as_number());
+      rep.halo_messages = msgs->as_integral<std::uint64_t>();
     }
     if (const json::Value* bytes = r.find("halo_bytes")) {
-      rep.halo_bytes = static_cast<std::uint64_t>(bytes->as_number());
+      rep.halo_bytes = bytes->as_integral<std::uint64_t>();
     }
     record.repetitions.push_back(rep);
   }

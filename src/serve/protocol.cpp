@@ -41,19 +41,19 @@ batch::JobSpec spec_from_json(const json::Value& value) {
     } else if (field == "algorithm") {
       spec.algorithm = batch::parse_algorithm_token(v.as_string());
     } else if (field == "n") {
-      spec.n = static_cast<std::size_t>(v.as_number());
+      spec.n = v.as_integral<std::size_t>();
     } else if (field == "ranks") {
-      spec.ranks = static_cast<int>(v.as_number());
+      spec.ranks = v.as_integral<int>();
     } else if (field == "layout") {
       spec.layout = batch::parse_layout_token(v.as_string());
     } else if (field == "nb") {
-      spec.nb = static_cast<std::size_t>(v.as_number());
+      spec.nb = v.as_integral<std::size_t>();
     } else if (field == "seed") {
-      spec.seed = static_cast<std::uint64_t>(v.as_number());
+      spec.seed = v.as_integral<std::uint64_t>();
     } else if (field == "reps") {
-      spec.repetitions = static_cast<int>(v.as_number());
+      spec.repetitions = v.as_integral<int>();
     } else if (field == "iterations") {
-      spec.iterations = static_cast<int>(v.as_number());
+      spec.iterations = v.as_integral<int>();
     } else if (field == "power_cap_w") {
       spec.power_cap_w = v.as_number();
     } else if (field == "precision") {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "hwmodel/sparse.hpp"
 #include "linalg/generate.hpp"
@@ -22,14 +21,6 @@ double dot_span(std::span<const double> a, std::span<const double> b) {
   double sum = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) sum += a[i] * b[i];
   return sum;
-}
-
-CgPath resolve_path(CgPath path) {
-  if (path != CgPath::kAuto) return path;
-  if (const char* raw = std::getenv("PLIN_CG_PATH")) {
-    if (*raw != '\0') return parse_path_token(raw);
-  }
-  return CgPath::kFused;
 }
 
 /// 1 / diag(A) for the owned rows; `col_of(li)` maps a local row to the
@@ -61,18 +52,9 @@ const char* path_token(CgPath path) {
   switch (path) {
     case CgPath::kBlocking: return "blocking";
     case CgPath::kOverlap: return "overlap";
-    case CgPath::kAuto:
     case CgPath::kFused: break;
   }
   return "fused";
-}
-
-CgPath parse_path_token(const std::string& token) {
-  if (token == "blocking") return CgPath::kBlocking;
-  if (token == "overlap") return CgPath::kOverlap;
-  if (token == "fused") return CgPath::kFused;
-  throw InvalidArgument(
-      "unknown cg path (use blocking | overlap | fused): " + token);
 }
 
 CgResult solve_cg(const sparse::CsrMatrix& a, const std::vector<double>& b,
@@ -158,9 +140,8 @@ CgResult solve_pcg(xmpi::Comm& comm, const CgOptions& options) {
   PLIN_CHECK_MSG(n > 0, "cg: system dimension must be positive");
   PLIN_CHECK_MSG(options.tolerance > 0.0 && options.max_iterations > 0,
                  "cg: bad iteration controls");
-  const CgPath path = resolve_path(options.path);
-  const bool overlap = path != CgPath::kBlocking;
-  const bool fused = path == CgPath::kFused;
+  const bool overlap = options.path != CgPath::kBlocking;
+  const bool fused = options.path == CgPath::kFused;
   const bool jacobi = options.precond == CgPrecond::kJacobi;
   const int ranks = comm.size();
   const int rank = comm.rank();

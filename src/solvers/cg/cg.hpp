@@ -32,11 +32,10 @@
 //     reference paths.
 // Every path honors the repo's determinism contract: at a fixed path and
 // fixed PLIN_SPARSE_KERNEL, results are bit-identical across worker
-// counts, executors and collective modes.
+// counts and collective modes.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "solvers/cg/precond.hpp"
@@ -46,15 +45,12 @@
 
 namespace plin::solvers {
 
-/// Which iteration shape solve_pcg runs (see the header comment). kAuto
-/// resolves PLIN_CG_PATH={blocking,overlap,fused} and defaults to kFused.
-enum class CgPath { kAuto, kBlocking, kOverlap, kFused };
+/// Which iteration shape solve_pcg runs (see the header comment). kFused
+/// is the default; kBlocking and kOverlap are the reference oracles.
+enum class CgPath { kBlocking, kOverlap, kFused };
 
-/// "blocking" / "overlap" / "fused" (kAuto has no token — it resolves).
+/// "blocking" / "overlap" / "fused".
 const char* path_token(CgPath path);
-
-/// Parses a PLIN_CG_PATH token; throws InvalidArgument otherwise.
-CgPath parse_path_token(const std::string& token);
 
 struct CgOptions {
   sparse::SparseKind kind = sparse::SparseKind::kStencil5;
@@ -63,7 +59,7 @@ struct CgOptions {
   /// Relative-residual termination: ||r||_2 <= tolerance * ||b||_2.
   double tolerance = 1e-11;
   int max_iterations = 1000;
-  CgPath path = CgPath::kAuto;
+  CgPath path = CgPath::kFused;
   CgPrecond precond = CgPrecond::kNone;
 };
 

@@ -1,5 +1,6 @@
 #include "support/json.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -269,6 +270,18 @@ bool Value::as_bool() const {
 double Value::as_number() const {
   PLIN_CHECK_MSG(kind_ == Kind::kNumber, "json: value is not a number");
   return number_;
+}
+
+std::uint64_t Value::as_uint(std::uint64_t max) const {
+  constexpr std::uint64_t kMaxSafe = (std::uint64_t{1} << 53) - 1;
+  const double value = as_number();
+  const double limit = static_cast<double>(std::min(max, kMaxSafe));
+  if (!(value >= 0.0 && value <= limit && value == std::floor(value))) {
+    throw InvalidArgument("json: expected an integer in [0, " +
+                          format_number(limit) + "], got " +
+                          format_number(value));
+  }
+  return static_cast<std::uint64_t>(value);
 }
 
 const std::string& Value::as_string() const {

@@ -6,6 +6,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -46,6 +48,16 @@ class Value {
   const Array& as_array() const;
   const Object& as_object() const;
 
+  /// Checked integral accessor for counts, sizes and seeds: the number
+  /// must be integral and lie in [0, T's max], capped at 2^53 - 1 (beyond
+  /// that a double no longer tells neighbouring integers apart). Throws
+  /// InvalidArgument otherwise, instead of the undefined behaviour of
+  /// casting a negative or huge double.
+  template <typename T>
+  T as_integral() const {
+    return static_cast<T>(as_uint(std::numeric_limits<T>::max()));
+  }
+
   /// Object member lookup; throws if not an object or the key is missing.
   const Value& at(std::string_view key) const;
   /// Object member lookup; returns nullptr when absent.
@@ -56,6 +68,8 @@ class Value {
   void set(std::string key, Value value);
 
  private:
+  std::uint64_t as_uint(std::uint64_t max) const;
+
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
   double number_ = 0.0;

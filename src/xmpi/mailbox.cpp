@@ -29,11 +29,7 @@ void Mailbox::post(Envelope&& envelope) {
       // Deactivate so later posts stop re-waking until the receiver
       // re-registers; the receiver re-arms on every retry.
       pending_.active = false;
-      if (parker_ != nullptr) {
-        to_wake = parker_;
-      } else {
-        cv_.notify_one();  // the owner is the only possible waiter
-      }
+      to_wake = parker_;
     }
   }
   // Parker::wake outside the mailbox lock: it takes scheduler locks and
@@ -43,19 +39,8 @@ void Mailbox::post(Envelope&& envelope) {
 }
 
 bool Mailbox::deliver(Envelope&& envelope, std::span<const std::byte> data,
-                      PayloadPool& pool, bool rendezvous) {
+                      PayloadPool& pool) {
   envelope.bytes = data.size();
-  if (!rendezvous) {
-    // No in-place option: prepare the pooled payload outside the mailbox
-    // lock so concurrent senders to the same receiver don't serialize on
-    // the copy.
-    if (!data.empty()) {
-      envelope.payload = pool.acquire(data.size());
-      std::memcpy(envelope.payload.data(), data.data(), data.size());
-    }
-    post(std::move(envelope));
-    return false;
-  }
   Parker* to_wake = nullptr;
   bool taken = false;
   {
@@ -82,11 +67,7 @@ bool Mailbox::deliver(Envelope&& envelope, std::span<const std::byte> data,
     channels_[key].push_back(Item{std::move(envelope), next_seq_++});
     if (wake) {
       pending_.active = false;
-      if (parker_ != nullptr) {
-        to_wake = parker_;
-      } else {
-        cv_.notify_one();
-      }
+      to_wake = parker_;
     }
   }
   if (to_wake != nullptr) to_wake->wake();
@@ -151,19 +132,18 @@ Envelope Mailbox::match_impl(int src, int tag, std::uint64_t context,
     if (auto envelope = try_match_locked(src, tag, context)) {
       return std::move(*envelope);
     }
+    // Without a parker nobody else can post here (a 1-rank world), so
+    // the message can never arrive.
+    if (parker_ == nullptr) throw Deadlock();
     // Register what we are waiting for so post() can do a targeted wakeup
     // (and deliver() an in-place write), then block. Registration happens
     // under the lock, before blocking, so a post that lands in between
     // still sees the pending receive.
     pending_ = PendingRecv{src, tag, context, true, has_dest, dest};
-    if (parker_ != nullptr) {
-      Parker* parker = parker_;
-      lock.unlock();  // never hold a mutex across a fiber switch
-      parker->park();
-      lock.lock();
-    } else {
-      cv_.wait(lock);
-    }
+    Parker* parker = parker_;
+    lock.unlock();  // never hold a mutex across a fiber switch
+    parker->park();
+    lock.lock();
     pending_.active = false;
     pending_.has_dest = false;
   }
@@ -203,7 +183,6 @@ void Mailbox::interrupt() {
     // flag even if it blocked without a registration we can match.
     pending_.active = false;
     to_wake = parker_;
-    cv_.notify_all();
   }
   if (to_wake != nullptr) to_wake->wake();
 }

@@ -6,15 +6,15 @@
 // so the exact-match fast path (all solver traffic) is a single map lookup
 // instead of the flat-deque scan the first implementation used.
 //
-// Blocking is pluggable. A receiver first registers its pending match
-// under the mailbox lock, then either
-//   - parks through the installed Mailbox::Parker (worker-pool executor:
-//     the rank's fiber yields its host worker and is resumed by the
-//     scheduler when a matching message arrives), or
-//   - waits on the mailbox condition variable (thread-per-rank executor).
-// Either way `post` performs a *targeted* single-waiter wakeup — it wakes
-// the owner only when the new envelope actually satisfies the registered
-// pending receive (a mailbox has exactly one legal waiter: its owner).
+// Blocking goes through the installed Mailbox::Parker: a receiver first
+// registers its pending match under the mailbox lock, then parks (in the
+// worker pool the rank's fiber yields its host worker and is resumed by
+// the scheduler when a matching message arrives). `post` performs a
+// *targeted* single-waiter wakeup — it wakes the owner only when the new
+// envelope actually satisfies the registered pending receive (a mailbox
+// has exactly one legal waiter: its owner). A mailbox without a parker
+// belongs to a 1-rank world, where nothing else can ever post, so a
+// receive that would block is a deadlock and throws Deadlock instead.
 //
 // The transport has two delivery paths (docs/xmpi.md):
 //   - eager: the sender copies the payload into a buffer acquired from the
@@ -35,7 +35,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -54,6 +53,17 @@ namespace plin::xmpi {
 class Aborted : public Error {
  public:
   Aborted() : Error("xmpi run aborted by a peer rank") {}
+};
+
+/// Raised when every unfinished rank is blocked in a receive or collective
+/// with no message in flight: by Runtime::run when the worker pool idles,
+/// and by Mailbox::match when no parker is installed.
+class Deadlock : public Error {
+ public:
+  Deadlock()
+      : Error(
+            "xmpi deadlock detected: every unfinished rank is blocked in a "
+            "receive or collective with no message in flight") {}
 };
 
 struct Envelope {
@@ -78,10 +88,10 @@ struct Envelope {
 
 class Mailbox {
  public:
-  /// Scheduler hook for the worker-pool executor: how the owning rank
-  /// blocks and how senders resume it. wake() may race with a park() that
-  /// is still switching out; implementations must tolerate that (two-phase
-  /// parking) as well as spurious wake() calls on a non-parked rank.
+  /// Scheduler hook: how the owning rank blocks and how senders resume
+  /// it. wake() may race with a park() that is still switching out;
+  /// implementations must tolerate that (two-phase parking) as well as
+  /// spurious wake() calls on a non-parked rank.
   class Parker {
    public:
     virtual ~Parker() = default;
@@ -104,18 +114,18 @@ class Mailbox {
   void post(Envelope&& envelope);
 
   /// Transport entry point for senders: attaches `data` to `envelope` and
-  /// enqueues it. Takes the zero-copy rendezvous path when `rendezvous` is
-  /// true and the registered pending receive provably matches this message
-  /// (see the header comment); otherwise copies into a buffer from `pool`.
-  /// Returns true when the rendezvous path was taken.
+  /// enqueues it. Takes the zero-copy rendezvous path when the registered
+  /// pending receive provably matches this message (see the header
+  /// comment); otherwise copies into a buffer from `pool`. Returns true
+  /// when the rendezvous path was taken.
   bool deliver(Envelope&& envelope, std::span<const std::byte> data,
-               PayloadPool& pool, bool rendezvous);
+               PayloadPool& pool);
 
   /// Blocks until a message matching (src, tag, context) is present and
   /// removes it. With kAnySource/kAnyTag, picks the present message with
   /// the earliest virtual arrival (ties: lowest source, then earliest
   /// post) to keep runs deterministic. Throws Aborted if the abort flag
-  /// fires.
+  /// fires, and Deadlock if it would block with no parker installed.
   ///
   /// `dest` is the receive buffer registered for rendezvous delivery; when
   /// the returned envelope has `inplace` set the payload is already there.
@@ -224,7 +234,6 @@ class Mailbox {
   static ChannelKey channel_floor(std::uint64_t context);
 
   std::mutex mutex_;
-  std::condition_variable cv_;
   std::map<ChannelKey, ItemFifo> channels_;  // non-empty FIFOs only
   std::uint64_t next_seq_ = 0;
   PendingRecv pending_;

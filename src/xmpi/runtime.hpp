@@ -2,12 +2,11 @@
 // placement, then aggregates virtual duration, traffic and per-domain
 // energy.
 //
-// Rank execution is multiplexed over a bounded worker pool by default
+// Rank execution is multiplexed over a bounded worker pool
 // (FiberScheduler: N host workers ≈ cores running all ranks on user-level
-// stacks), with an inline fast path for 1-rank worlds and a legacy
-// thread-per-rank executor retained as a fallback/baseline. The executor
-// choice changes host wall-clock only: all simulated outputs are
-// bit-identical across executors and worker counts (see docs/xmpi.md).
+// stacks), with an inline fast path for 1-rank worlds. The worker count
+// changes host wall-clock only: all simulated outputs are bit-identical
+// across worker counts (see docs/xmpi.md).
 #pragma once
 
 #include <cstddef>
@@ -42,35 +41,15 @@ struct EnergyReport {
   double total_j() const { return total_pkg_j() + total_dram_j(); }
 };
 
-/// How simulated ranks map onto host threads.
-enum class ExecutorKind {
-  /// Resolve from PLIN_XMPI_EXECUTOR ("pool" | "threads"), defaulting to
-  /// the worker pool.
-  kAuto,
-  /// Bounded worker pool over per-rank fibers (the default).
-  kWorkerPool,
-  /// One OS thread per rank — the original executor, kept as the perf
-  /// baseline and as a fallback for platforms without ucontext.
-  kThreadPerRank,
-};
-
 struct RunConfig {
   hw::MachineSpec machine;
   hw::Placement placement;
-  /// Host execution engine; simulated results do not depend on it.
-  ExecutorKind executor = ExecutorKind::kAuto;
   /// Worker-pool size; 0 → PLIN_XMPI_WORKERS env, else
-  /// hardware_concurrency. Ignored by kThreadPerRank.
+  /// hardware_concurrency. Simulated results do not depend on it.
   std::size_t workers = 0;
-  /// Usable bytes per rank fiber stack; 0 → PLIN_XMPI_STACK_KB env, else
-  /// 512 KiB (lazily committed). Ignored by kThreadPerRank.
-  std::size_t fiber_stack_bytes = 0;
-  /// Message-transport knobs: payload buffer pool, zero-copy rendezvous
-  /// delivery and the collective schedule family. kAuto fields resolve
-  /// from PLIN_XMPI_POOL / PLIN_XMPI_RENDEZVOUS / PLIN_XMPI_COLL /
-  /// PLIN_XMPI_POOL_CAP (docs/xmpi.md). Pool and rendezvous are host-side
-  /// only; the collective mode changes simulated schedules (default: the
-  /// seed tree schedules).
+  /// Collective schedule family; kAuto resolves from PLIN_XMPI_COLL
+  /// (docs/xmpi.md). Unlike the worker count it changes simulated
+  /// schedules (default: the seed tree schedules).
   TransportConfig transport;
   /// Enables span tracing for this run even when no output path is set;
   /// the collected prof::TraceData is returned in RunResult::trace.
@@ -88,7 +67,7 @@ struct RunConfig {
   std::string chrome_trace_path;
   /// If non-empty, the full canonical trace bundle (trace.json,
   /// summary.json and the analysis CSVs) is written into this directory.
-  /// The bundle bytes are identical across executors and worker counts.
+  /// The bundle bytes are identical across worker counts.
   std::string trace_dir;
   /// If > 0, RunResult.timeline holds a per-node power time series sampled
   /// at this virtual-time period — the simulated *external wattmeter* view
@@ -156,9 +135,9 @@ struct RunResult {
   std::shared_ptr<const prof::TraceData> trace;
 
   /// Host-side diagnostics (never feed back into simulated numbers):
-  /// which executor actually ran ("inline", "pool" or "threads"), how many
-  /// host workers it used, and the pool's fiber park/wake counts (0 for
-  /// the inline and thread-per-rank executors).
+  /// which executor actually ran ("inline" for 1-rank worlds, else
+  /// "pool"), how many host workers it used, and the pool's fiber
+  /// park/wake counts (0 inline).
   std::string host_executor;
   std::size_t host_workers = 0;
   std::uint64_t host_parks = 0;

@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <deque>
 #include <mutex>
-#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -70,25 +69,13 @@ void tsan_switch_to_fiber(void* fiber) {
 #endif
 }
 
-constexpr std::size_t kDefaultStackBytes = 512 * 1024;
-constexpr std::size_t kMinStackBytes = 64 * 1024;
+/// Usable bytes of every fiber stack (lazily committed).
+constexpr std::size_t kStackBytes = 512 * 1024;
 
-/// Above this many tasks, "auto" guard mode switches to one guard page per
-/// slab: per-stack guards cost ~2 kernel VMAs each, and vm.max_map_count
-/// commonly defaults to 65530.
-constexpr std::size_t kGuardAutoMaxTasks = 8192;
-
-/// PLIN_XMPI_STACK_GUARD: unset/"auto" → guard iff the run is small
-/// enough; "0"/"off" → never; anything else → always.
-bool resolve_stack_guard(std::size_t tasks) {
-  const char* value = std::getenv("PLIN_XMPI_STACK_GUARD");
-  if (value == nullptr || *value == '\0' ||
-      std::string_view(value) == "auto") {
-    return tasks <= kGuardAutoMaxTasks;
-  }
-  const std::string_view text(value);
-  return text != "0" && text != "off";
-}
+/// Above this many tasks, stacks share one guard page per slab: per-stack
+/// guards cost ~2 kernel VMAs each, and vm.max_map_count commonly defaults
+/// to 65530.
+constexpr std::size_t kGuardMaxTasks = 8192;
 
 }  // namespace
 
@@ -189,10 +176,7 @@ FiberScheduler::FiberScheduler(std::vector<Task> tasks, Options options)
   }
   workers_ = std::min(workers, tasks.size());
 
-  stack_bytes_ = std::max(options.stack_bytes == 0 ? kDefaultStackBytes
-                                                   : options.stack_bytes,
-                          kMinStackBytes);
-  guard_stacks_ = resolve_stack_guard(tasks.size());
+  guard_stacks_ = tasks.size() <= kGuardMaxTasks;
 
   // No stacks or contexts yet: construction is O(tasks) pointer setup, and
   // a fiber leases its stack only when it is first dispatched. 100k ranks
@@ -236,7 +220,7 @@ void FiberScheduler::dispatch(RankFiber& fiber, void* worker_tsan) {
   if (!fiber.started) {
     // First dispatch: lease a stack and build the context now. Ranks that
     // never run (abort before first dispatch) never pay for one.
-    fiber.stack = StackPool::instance().acquire(stack_bytes_, guard_stacks_);
+    fiber.stack = StackPool::instance().acquire(kStackBytes, guard_stacks_);
     PLIN_CHECK_MSG(::getcontext(&fiber.context) == 0, "getcontext failed");
     fiber.context.uc_stack.ss_sp = fiber.stack.sp;
     fiber.context.uc_stack.ss_size = fiber.stack.bytes;

@@ -7,13 +7,15 @@
 // and returned the moment the rank's body finishes, so a 100k-rank run
 // whose ranks mostly wait holds stacks only for the ranks actually
 // in flight, and successive rank waves recycle the same few mappings
-// (see stackpool.hpp; PLIN_XMPI_STACK_GUARD picks the guard-page
-// geometry — per-stack guards by default up to 8192 ranks, one guard per
-// slab above that to stay under vm.max_map_count). When a rank blocks in
-// Mailbox::match / a collective, its fiber *parks*: it switches back to
-// the worker's scheduler context, freeing the worker to run another rank.
-// A matching post (or World::abort) *wakes* it — re-queues the fiber so
-// any worker can resume it where it left off. This keeps host thread
+// (see stackpool.hpp). Every stack has 512 KiB of usable, lazily
+// committed space; runs of up to 8192 ranks give each stack its own guard
+// page, larger runs use one guard per slab to stay under
+// vm.max_map_count.
+//
+// When a rank blocks in Mailbox::match / a collective, its fiber *parks*:
+// it switches back to the worker's scheduler context, freeing the worker
+// to run another rank. A matching post (or World::abort) *wakes* it —
+// re-queues the fiber so any worker can resume it where it left off. This keeps host thread
 // count bounded at paper-scale rank counts (1296 ranks ⇒ N threads, not
 // 1296) and removes per-message thundering-herd wakeups.
 //
@@ -57,11 +59,6 @@ class FiberScheduler {
     /// Host worker threads; 0 → std::thread::hardware_concurrency().
     /// Always clamped to the task count.
     std::size_t workers = 0;
-    /// Usable fiber stack bytes; 0 → 512 KiB. Clamped to ≥ 64 KiB and
-    /// rounded up to the page size. Stacks come from the slab-backed
-    /// StackPool (lazily committed, leased at first dispatch, recycled
-    /// when the rank finishes).
-    std::size_t stack_bytes = 0;
     /// Invoked (without scheduler locks) when every unfinished rank is
     /// parked — a simulated-communication deadlock. Expected to unwedge
     /// the ranks, e.g. World::abort, which wakes every parked receiver
@@ -103,8 +100,7 @@ class FiberScheduler {
 
   std::vector<RankFiber> fibers_;
   std::size_t workers_ = 1;
-  /// Resolved stack geometry every fiber leases from the StackPool.
-  std::size_t stack_bytes_ = 0;
+  /// Stack guard geometry every fiber leases from the StackPool.
   bool guard_stacks_ = true;
   std::function<void()> on_deadlock_;
 

@@ -8,7 +8,8 @@
 // a free list, so a wave of short-lived ranks reuses a handful of stacks
 // and spawn throughput is bounded by context setup, not the kernel.
 //
-// Two slab geometries (see Scheduler's PLIN_XMPI_STACK_GUARD knob):
+// Two slab geometries (the scheduler picks guarded stacks for runs of up
+// to 8192 ranks and unguarded slabs above that):
 //   - guarded: every stack gets its own PROT_NONE guard page below it
 //     (overflow faults immediately). ~2 VMAs per *live* stack — the right
 //     default up to a few thousand concurrent stacks.

@@ -94,6 +94,22 @@ TEST(ProtocolTest, RejectsGarbage) {
       parse_request(R"({"op":"submit","spec":{"n":96,"typo_field":1}})"),
       InvalidArgument);
   EXPECT_THROW(parse_request(R"({"op":"wait","key":"tooshort"})"), Error);
+  // Integer fields must be integral, non-negative, in range for their type
+  // and at most 2^53 - 1 (past that a double rounds the seed, and with it
+  // the job key).
+  for (const char* field : {
+           R"("n":-1)", R"("n":1e300)", R"("n":96.5)", R"("ranks":-4)",
+           R"("ranks":4294967300)", R"("nb":-32)", R"("reps":1.5)",
+           R"("iterations":-1)", R"("seed":-1)",
+           R"("seed":9007199254740994)", R"("seed":1.8446744073709552e19)"}) {
+    const std::string line =
+        std::string(R"({"op":"submit","spec":{)") + field + "}}";
+    EXPECT_THROW(parse_request(line), InvalidArgument) << line;
+  }
+  EXPECT_EQ(parse_request(R"({"op":"submit","spec":{"n":96,"ranks":4,)"
+                          R"("seed":9007199254740991}})")
+                .spec.seed,
+            9007199254740991u);
 }
 
 TEST(ProtocolTest, SpecRoundTripsThroughJson) {
@@ -164,18 +180,23 @@ TEST(EngineTest, CoalescesInflightDuplicates) {
 
 TEST(EngineTest, AdmissionControlRejectsOverflow) {
   batch::ResultStore store(scratch_dir("engine_admission"));
+  std::atomic<bool> running{false};
   std::atomic<bool> release{false};
   EngineOptions options;
   options.workers = 1;
   options.default_tenant.max_queued = 2;
   options.executor = [&](const batch::JobSpec& spec) {
+    running = true;
     while (!release.load()) std::this_thread::yield();
     return fake_record(spec);
   };
   Engine engine(store, options);
 
-  // One running + two queued; the next submit must bounce.
+  // One running + two queued; the next submit must bounce. Waiting for the
+  // first job to start keeps a late worker from freeing a queue slot
+  // between the later submits.
   EXPECT_EQ(engine.submit("t", replay_spec(10)), SubmitStatus::kQueued);
+  while (!running.load()) std::this_thread::yield();
   SubmitStatus last = SubmitStatus::kQueued;
   int accepted = 1;
   for (std::uint64_t seed = 11; seed < 16; ++seed) {
@@ -183,7 +204,7 @@ TEST(EngineTest, AdmissionControlRejectsOverflow) {
     if (last == SubmitStatus::kQueued) ++accepted;
   }
   EXPECT_EQ(last, SubmitStatus::kRejected);
-  EXPECT_LE(accepted, 4);  // 1 dispatched (or not yet) + max_queued 2 + race
+  EXPECT_EQ(accepted, 3);  // 1 running + max_queued 2
   EXPECT_GT(engine.stats().rejected, 0u);
   release = true;
 }
@@ -433,7 +454,19 @@ TEST_F(ServerFixture, MalformedLinesGetErrorsNotDisconnects) {
   EXPECT_FALSE(response.at("ok").as_bool());
   EXPECT_NE(response.at("error").as_string().find("unknown op"),
             std::string::npos);
-  // The connection survives the error.
+  // So does an out-of-range integer field.
+  json::Value submit = json::make_object();
+  submit.set("op", "submit");
+  json::Value spec = json::make_object();
+  spec.set("n", 96);
+  spec.set("ranks", 4);
+  spec.set("seed", 1e300);
+  submit.set("spec", spec);
+  const json::Value rejected = client.request(submit);
+  EXPECT_FALSE(rejected.at("ok").as_bool());
+  EXPECT_NE(rejected.at("error").as_string().find("expected an integer"),
+            std::string::npos);
+  // The connection survives the errors.
   EXPECT_TRUE(client.ping().at("ok").as_bool());
 }
 

@@ -1,7 +1,7 @@
 // Tests for the CG solvers: sequential convergence on every SPD family,
 // agreement between the distributed and sequential solvers, the
-// bit-identity contract across worker counts / executors / collective
-// modes, and the analytic iteration model backing the replay tier.
+// bit-identity contract across worker counts / collective modes, and the
+// analytic iteration model backing the replay tier.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -97,7 +97,7 @@ struct CgRun {
 };
 
 CgRun run_cg(const xmpi::RunConfig& config, std::size_t n,
-             CgPath path = CgPath::kAuto) {
+             CgPath path = CgPath::kFused) {
   CgRun out;
   const xmpi::RunResult run =
       xmpi::Runtime::run(config, [&](xmpi::Comm& comm) {
@@ -125,11 +125,11 @@ TEST(CgDeterminism, BitIdenticalAcrossExecutorsWorkersAndCollectives) {
   xmpi::RunConfig base = mini_config(ranks);
   base.workers = 2;
 
+  xmpi::RunConfig one_worker = mini_config(ranks);
+  one_worker.workers = 1;
+
   xmpi::RunConfig more_workers = mini_config(ranks);
   more_workers.workers = 5;
-
-  xmpi::RunConfig threads = mini_config(ranks);
-  threads.executor = xmpi::ExecutorKind::kThreadPerRank;
 
   xmpi::RunConfig scalable = mini_config(ranks);
   scalable.transport.collectives = xmpi::CollectiveMode::kScalable;
@@ -138,7 +138,7 @@ TEST(CgDeterminism, BitIdenticalAcrossExecutorsWorkersAndCollectives) {
   ASSERT_EQ(reference.x.size(), n);
   // Host-execution knobs must not perturb anything simulated: solution,
   // iteration count, virtual duration and energy are all bit-identical.
-  for (const xmpi::RunConfig& config : {more_workers, threads}) {
+  for (const xmpi::RunConfig& config : {one_worker, more_workers}) {
     const CgRun other = run_cg(config, n);
     EXPECT_EQ(other.iterations, reference.iterations);
     EXPECT_DOUBLE_EQ(other.duration_s, reference.duration_s);
@@ -328,7 +328,7 @@ TEST(CgEdge, BlockDiagAlignedChunksSendNoHaloMessages) {
 
 TEST(CgKernel, SimdKernelKeepsTheDeterminismContract) {
   // The bit-identity contract is per kernel: with kSimd pinned, runtime
-  // knobs (workers, executor, collective mode) must not move a bit either.
+  // knobs (workers, collective mode) must not move a bit either.
   sparse::SpmvConfig config;
   config.kernel = sparse::SpmvKernel::kSimd;
   sparse::set_spmv_config(config);

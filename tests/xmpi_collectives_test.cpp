@@ -3,8 +3,7 @@
 //
 // The load-bearing contracts:
 //   * simulated outputs (durations, energy, solver results) are
-//     bit-identical with the pool on or off, with rendezvous on or off,
-//     and across executors and worker counts — the transport is host-side
+//     bit-identical across worker counts — the transport is host-side
 //     only;
 //   * the scalable schedules are bit-identical to the tree schedules for
 //     power-of-two rank counts (rank-order-preserving combine), and for
@@ -34,26 +33,16 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-RunConfig mini_config(int ranks, TransportConfig transport = {},
-                      ExecutorKind executor = ExecutorKind::kWorkerPool,
+RunConfig mini_config(int ranks,
+                      CollectiveMode collectives = CollectiveMode::kTree,
                       std::size_t workers = 0) {
   RunConfig config;
   config.machine = hw::mini_cluster(/*nodes=*/8, /*cores_per_socket=*/4);
   config.placement =
       hw::make_placement(ranks, hw::LoadLayout::kFullLoad, config.machine);
-  config.executor = executor;
   config.workers = workers;
-  config.transport = transport;
+  config.transport.collectives = collectives;
   return config;
-}
-
-TransportConfig transport(PoolMode pool, RendezvousMode rendezvous,
-                          CollectiveMode collectives = CollectiveMode::kTree) {
-  TransportConfig t;
-  t.pool = pool;
-  t.rendezvous = rendezvous;
-  t.collectives = collectives;
-  return t;
 }
 
 /// Bitwise equality for double vectors (EXPECT_EQ would treat NaNs as
@@ -101,13 +90,13 @@ TEST(PayloadPoolTest, RecyclesBufferAcrossAcquires) {
 
 TEST(PayloadPoolTest, CapEvictsExcessReturns) {
   PayloadPool pool;
-  pool.configure({/*enabled=*/true, /*max_cached_per_class=*/2});
   {
-    PayloadBuffer a = pool.acquire(64);
-    PayloadBuffer b = pool.acquire(64);
-    PayloadBuffer c = pool.acquire(64);
-  }  // only two of the three returns may park on the free list
-  EXPECT_EQ(pool.stats().recycled_buffers, 2u);
+    std::vector<PayloadBuffer> live;
+    for (std::size_t i = 0; i <= PayloadPool::kMaxCachedPerClass; ++i) {
+      live.push_back(pool.acquire(64));
+    }
+  }  // one return more than the cap: it is freed instead of parked
+  EXPECT_EQ(pool.stats().recycled_buffers, PayloadPool::kMaxCachedPerClass);
 }
 
 TEST(PayloadPoolTest, OversizePayloadFallsBackToHeap) {
@@ -122,20 +111,6 @@ TEST(PayloadPoolTest, OversizePayloadFallsBackToHeap) {
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.recycled_buffers, 0u);  // oversize is never cached
   EXPECT_GE(stats.peak_payload_bytes, huge);
-}
-
-TEST(PayloadPoolTest, DisabledPoolCountsEveryAcquireAsMiss) {
-  PayloadPool pool;
-  pool.configure({/*enabled=*/false, /*max_cached_per_class=*/0});
-  for (int i = 0; i < 4; ++i) {
-    PayloadBuffer buffer = pool.acquire(256);
-    ASSERT_NE(buffer.data(), nullptr);
-  }
-  const PoolStats stats = pool.stats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 4u);
-  EXPECT_EQ(stats.recycled_buffers, 0u);
-  EXPECT_GE(stats.peak_payload_bytes, 256u);  // peak tracked even when off
 }
 
 TEST(PayloadPoolTest, PeakTracksSimultaneouslyLiveBytes) {
@@ -171,21 +146,14 @@ SolverRun pdgesv_run(const RunConfig& config) {
 
 TEST(TransportIdentityTest, SolverOutputsBitIdenticalAcrossTransports) {
   const int ranks = 8;
-  const SolverRun base =
-      pdgesv_run(mini_config(ranks, transport(PoolMode::kOn,
-                                              RendezvousMode::kOn)));
+  const SolverRun base = pdgesv_run(mini_config(ranks));
   ASSERT_EQ(base.x.size(), 64u);
 
+  // Rendezvous vs eager delivery and pool hits vs misses follow host
+  // scheduling, which the worker count varies.
   const RunConfig variants[] = {
-      mini_config(ranks, transport(PoolMode::kOff, RendezvousMode::kOn)),
-      mini_config(ranks, transport(PoolMode::kOn, RendezvousMode::kOff)),
-      mini_config(ranks, transport(PoolMode::kOff, RendezvousMode::kOff)),
-      mini_config(ranks, transport(PoolMode::kOn, RendezvousMode::kOn),
-                  ExecutorKind::kWorkerPool, /*workers=*/1),
-      mini_config(ranks, transport(PoolMode::kOn, RendezvousMode::kOn),
-                  ExecutorKind::kWorkerPool, /*workers=*/4),
-      mini_config(ranks, transport(PoolMode::kOn, RendezvousMode::kOn),
-                  ExecutorKind::kThreadPerRank),
+      mini_config(ranks, CollectiveMode::kTree, /*workers=*/1),
+      mini_config(ranks, CollectiveMode::kTree, /*workers=*/4),
   };
   for (const RunConfig& config : variants) {
     const SolverRun variant = pdgesv_run(config);
@@ -228,38 +196,42 @@ TEST(RendezvousTest, ParkedExactMatchReceiveTakesZeroCopyPath) {
   // first, so the receive is (all but certainly) registered and parked by
   // the time the send happens — delivery should write straight into the
   // destination span.
-  const RunResult run = Runtime::run(
-      mini_config(2, transport(PoolMode::kOn, RendezvousMode::kOn)),
-      [](Comm& comm) {
-        if (comm.rank() == 0) {
-          std::vector<double> data(512);
-          comm.recv(std::span<double>(data), /*src=*/1, /*tag=*/7);
-          EXPECT_EQ(data[0], 41.5);
-          EXPECT_EQ(data[511], 41.5);
-        } else {
-          std::this_thread::sleep_for(std::chrono::milliseconds(50));
-          std::vector<double> data(512, 41.5);
-          comm.send(std::span<const double>(data), /*dst=*/0, /*tag=*/7);
-        }
-      });
-  EXPECT_TRUE(run.transport.rendezvous_enabled);
+  const RunResult run = Runtime::run(mini_config(2), [](Comm& comm) {
+    if (comm.rank() == 0) {
+      std::vector<double> data(512);
+      comm.recv(std::span<double>(data), /*src=*/1, /*tag=*/7);
+      EXPECT_EQ(data[0], 41.5);
+      EXPECT_EQ(data[511], 41.5);
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      std::vector<double> data(512, 41.5);
+      comm.send(std::span<const double>(data), /*dst=*/0, /*tag=*/7);
+    }
+  });
   EXPECT_GE(run.transport.rendezvous_messages, 1u);
   EXPECT_GE(run.transport.rendezvous_bytes, 512u * sizeof(double));
 }
 
-TEST(RendezvousTest, DisabledRendezvousDeliversEverythingEager) {
-  const RunResult run = Runtime::run(
-      mini_config(4, transport(PoolMode::kOn, RendezvousMode::kOff)),
-      [](Comm& comm) {
-        double value = comm.rank() + 1.0;
-        for (int round = 0; round < 4; ++round) {
-          value = comm.allreduce_value(value, ReduceOp::kSum);
-          comm.barrier();
-        }
-      });
-  EXPECT_FALSE(run.transport.rendezvous_enabled);
-  EXPECT_EQ(run.transport.rendezvous_messages, 0u);
-  EXPECT_GT(run.transport.eager_messages, 0u);
+TEST(RendezvousTest, SendBeforeReceiveDeliversEager) {
+  // Every payload is sent before the barrier and received after it, so no
+  // receive is registered when its message arrives: every payload is
+  // delivered eager, whatever the host interleaving. (The empty barrier
+  // messages themselves may still rendezvous.)
+  constexpr int kRanks = 4;
+  constexpr int kRounds = 4;
+  const RunResult run = Runtime::run(mini_config(kRanks), [](Comm& comm) {
+    const int next = (comm.rank() + 1) % comm.size();
+    const int prev = (comm.rank() + comm.size() - 1) % comm.size();
+    std::vector<double> data(64, comm.rank() + 1.0);
+    for (int round = 0; round < kRounds; ++round) {
+      comm.send(std::span<const double>(data), next, /*tag=*/round);
+      comm.barrier();
+      comm.recv(std::span<double>(data), prev, /*tag=*/round);
+    }
+  });
+  EXPECT_EQ(run.transport.rendezvous_bytes, 0u);
+  EXPECT_GE(run.transport.eager_messages,
+            static_cast<std::uint64_t>(kRanks * kRounds));
 }
 
 TEST(RendezvousTest, WildcardReceivesNeverRendezvousAndPoolRecyclesSafely) {
@@ -275,8 +247,7 @@ TEST(RendezvousTest, WildcardReceivesNeverRendezvousAndPoolRecyclesSafely) {
   constexpr int kRounds = 48;
   constexpr int kBatch = 16;
   const RunResult run = Runtime::run(
-      mini_config(kRanks, transport(PoolMode::kOn, RendezvousMode::kOn),
-                  ExecutorKind::kWorkerPool, /*workers=*/4),
+      mini_config(kRanks, CollectiveMode::kTree, /*workers=*/4),
       [](Comm& comm) {
         if (comm.rank() == 0) {
           long long sum = 0;
@@ -310,51 +281,44 @@ TEST(RendezvousTest, WildcardReceivesNeverRendezvousAndPoolRecyclesSafely) {
 }
 
 TEST(RendezvousTest, PoolStatsSurfacedThroughRunResult) {
-  // The barrier after each bcast is backpressure: a rank only enters it
-  // after consuming (and thus recycling) its incoming payload, so round
-  // k+1's seven 2 KiB acquires always find round k's buffers on the free
-  // list. Barrier messages are empty and never touch the pool.
-  const auto workload = [](Comm& comm) {
+  // Each round sends before a barrier and receives after it (so every
+  // payload goes eager through the pool), then a second barrier holds the
+  // next round back until every receiver has consumed — and thus recycled
+  // — its buffer. Round k+1's eight 2 KiB acquires therefore always find
+  // round k's buffers on the free list. Barrier messages are empty and
+  // never touch the pool.
+  constexpr int kRanks = 8;
+  constexpr int kRounds = 16;
+  const RunResult run = Runtime::run(mini_config(kRanks), [](Comm& comm) {
+    const int next = (comm.rank() + 1) % comm.size();
+    const int prev = (comm.rank() + comm.size() - 1) % comm.size();
     std::vector<double> data(256, comm.rank() * 1.0);
-    for (int round = 0; round < 16; ++round) {
-      comm.bcast(std::span<double>(data), /*root=*/0);
+    for (int round = 0; round < kRounds; ++round) {
+      comm.send(std::span<const double>(data), next, /*tag=*/round);
+      comm.barrier();
+      comm.recv(std::span<double>(data), prev, /*tag=*/round);
       comm.barrier();
     }
-  };
-  const RunResult pooled = Runtime::run(
-      mini_config(8, transport(PoolMode::kOn, RendezvousMode::kOff)),
-      workload);
-  EXPECT_TRUE(pooled.transport.pool_enabled);
-  EXPECT_GT(pooled.transport.pool.hits, 0u);
-  EXPECT_GT(pooled.transport.pool.peak_payload_bytes, 0u);
-  // Satellite audit: broadcast intermediates and consumed envelopes are
-  // recycled, so heap allocations are a small fraction of the 16*7
-  // deliveries (the eager path would otherwise allocate every time).
-  EXPECT_LT(pooled.transport.pool.misses * 4, pooled.transport.pool.hits);
-
-  const RunResult unpooled = Runtime::run(
-      mini_config(8, transport(PoolMode::kOff, RendezvousMode::kOff)),
-      workload);
-  EXPECT_FALSE(unpooled.transport.pool_enabled);
-  EXPECT_EQ(unpooled.transport.pool.hits, 0u);
-  EXPECT_GT(unpooled.transport.pool.misses, pooled.transport.pool.misses);
+  });
+  EXPECT_EQ(run.transport.pool.acquires(),
+            static_cast<std::uint64_t>(kRanks * kRounds));
+  EXPECT_GT(run.transport.pool.peak_payload_bytes, 0u);
+  // Consumed envelopes are recycled, so only the first round allocates.
+  EXPECT_EQ(run.transport.pool.misses, static_cast<std::uint64_t>(kRanks));
 }
 
 // ---- collective schedules --------------------------------------------------
 
 std::vector<double> run_allreduce(int ranks, CollectiveMode mode,
                                   std::vector<double> contribution_rank0,
-                                  ReduceOp op,
-                                  ExecutorKind executor =
-                                      ExecutorKind::kWorkerPool) {
+                                  ReduceOp op) {
   // Rank r contributes contribution_rank0 rotated by r (so every rank's
   // vector is distinct but derived from the same pool of values, including
   // any NaNs placed in it).
   const std::size_t count = contribution_rank0.size();
   std::vector<double> result;
   Runtime::run(
-      mini_config(ranks, transport(PoolMode::kOn, RendezvousMode::kOn, mode),
-                  executor),
+      mini_config(ranks, mode),
       [&](Comm& comm) {
         std::vector<double> mine(count);
         for (std::size_t i = 0; i < count; ++i) {
@@ -418,13 +382,6 @@ TEST(ScalableCollectivesTest, AllreduceNonPof2BitIdenticalToTree) {
     expect_bits_equal(run_allreduce(6, CollectiveMode::kTree, base, op),
                       run_allreduce(6, CollectiveMode::kScalable, base, op));
   }
-  // And the bytes are executor-independent.
-  const std::vector<double> scalable =
-      run_allreduce(6, CollectiveMode::kScalable, base, ReduceOp::kSum);
-  const std::vector<double> scalable_threads =
-      run_allreduce(6, CollectiveMode::kScalable, base, ReduceOp::kSum,
-                    ExecutorKind::kThreadPerRank);
-  expect_bits_equal(scalable, scalable_threads);
 }
 
 TEST(ScalableCollectivesTest, RingAllgatherMatchesTreeSchedule) {
@@ -437,8 +394,7 @@ TEST(ScalableCollectivesTest, RingAllgatherMatchesTreeSchedule) {
     for (const CollectiveMode mode :
          {CollectiveMode::kTree, CollectiveMode::kScalable}) {
       Runtime::run(
-          mini_config(ranks,
-                      transport(PoolMode::kOn, RendezvousMode::kOn, mode)),
+          mini_config(ranks, mode),
           [&](Comm& comm) {
             std::vector<double> mine(kChunk);
             for (std::size_t i = 0; i < kChunk; ++i) {
@@ -497,7 +453,7 @@ Comm::MaxLoc run_maxloc(int ranks, CollectiveMode mode,
                         const std::vector<double>& values) {
   Comm::MaxLoc result;
   Runtime::run(
-      mini_config(ranks, transport(PoolMode::kOn, RendezvousMode::kOn, mode)),
+      mini_config(ranks, mode),
       [&](Comm& comm) {
         const Comm::MaxLoc mine = comm.allreduce_maxloc(
             values[static_cast<std::size_t>(comm.rank())], comm.rank());
@@ -544,7 +500,7 @@ Comm::MaxLocT<float> run_maxloc_f32(int ranks, CollectiveMode mode,
                                     const std::vector<float>& values) {
   Comm::MaxLocT<float> result;
   Runtime::run(
-      mini_config(ranks, transport(PoolMode::kOn, RendezvousMode::kOn, mode)),
+      mini_config(ranks, mode),
       [&](Comm& comm) {
         const Comm::MaxLocT<float> mine = comm.allreduce_maxloc(
             values[static_cast<std::size_t>(comm.rank())],
@@ -619,8 +575,7 @@ TEST(ReduceContractTest, Fp32ReduceNaNAndSchedulesAgree) {
     for (const int ranks : {4, 8}) {
       std::vector<float> root_sum;
       Runtime::run(
-          mini_config(ranks,
-                      transport(PoolMode::kOn, RendezvousMode::kOn, mode)),
+          mini_config(ranks, mode),
           [&](Comm& comm) {
             std::vector<float> mine(16);
             for (std::size_t i = 0; i < mine.size(); ++i) {
@@ -666,12 +621,10 @@ TEST(ScalableCollectivesTest, SolverResidualHoldsUnderScalableSchedules) {
   // The solvers only require a deterministic allreduce, not the tree's
   // exact bracketing: the scalable schedule must still produce a valid,
   // repeatable solve.
-  const SolverRun first = pdgesv_run(mini_config(
-      8, transport(PoolMode::kOn, RendezvousMode::kOn,
-                   CollectiveMode::kScalable)));
-  const SolverRun second = pdgesv_run(mini_config(
-      8, transport(PoolMode::kOn, RendezvousMode::kOn,
-                   CollectiveMode::kScalable)));
+  const SolverRun first =
+      pdgesv_run(mini_config(8, CollectiveMode::kScalable));
+  const SolverRun second =
+      pdgesv_run(mini_config(8, CollectiveMode::kScalable));
   ASSERT_EQ(first.x.size(), 64u);
   expect_bits_equal(first.x, second.x);
   EXPECT_EQ(first.run.duration_s, second.run.duration_s);

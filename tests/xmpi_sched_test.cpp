@@ -1,14 +1,16 @@
 // Tests for the worker-pool scheduler: bit-identical results across worker
-// counts and executors, abort propagation into parked ranks, deadlock
-// detection, the 1-rank inline fast path, executor/worker selection knobs
-// and the channel-indexed mailbox.
+// counts, abort propagation into parked ranks, deadlock detection, the
+// 1-rank inline fast path, the worker-count knob and the channel-indexed
+// mailbox.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -91,8 +93,8 @@ void mixed_campaign(Comm& comm) {
 }
 
 void expect_identical(const RunResult& a, const RunResult& b) {
-  // Exact (bit-level) equality everywhere: the executor must not leak into
-  // any simulated quantity.
+  // Exact (bit-level) equality everywhere: the worker count must not leak
+  // into any simulated quantity.
   EXPECT_EQ(a.duration_s, b.duration_s);
   ASSERT_EQ(a.rank_times.size(), b.rank_times.size());
   for (std::size_t i = 0; i < a.rank_times.size(); ++i) {
@@ -134,10 +136,8 @@ struct CampaignRun {
 };
 
 CampaignRun run_campaign(int ranks, hw::LoadLayout layout,
-                         ExecutorKind executor, std::size_t workers,
-                         const std::string& trace_tag) {
+                         std::size_t workers, const std::string& trace_tag) {
   RunConfig config = mini_config(ranks, layout);
-  config.executor = executor;
   config.workers = workers;
   const auto trace_path = std::filesystem::temp_directory_path() /
                           ("xmpi_sched_" + trace_tag + ".json");
@@ -153,12 +153,9 @@ CampaignRun run_campaign(int ranks, hw::LoadLayout layout,
 TEST(XmpiScheduler, WorkerCountsProduceBitIdenticalResults) {
   for (const hw::LoadLayout layout :
        {hw::LoadLayout::kFullLoad, hw::LoadLayout::kHalfLoadTwoSockets}) {
-    const CampaignRun one =
-        run_campaign(16, layout, ExecutorKind::kWorkerPool, 1, "w1");
-    const CampaignRun four =
-        run_campaign(16, layout, ExecutorKind::kWorkerPool, 4, "w4");
-    const CampaignRun hardware =
-        run_campaign(16, layout, ExecutorKind::kWorkerPool, 0, "whw");
+    const CampaignRun one = run_campaign(16, layout, 1, "w1");
+    const CampaignRun four = run_campaign(16, layout, 4, "w4");
+    const CampaignRun hardware = run_campaign(16, layout, 0, "whw");
     expect_identical(one.result, four.result);
     expect_identical(one.result, hardware.result);
     EXPECT_EQ(one.trace, four.trace);
@@ -167,23 +164,11 @@ TEST(XmpiScheduler, WorkerCountsProduceBitIdenticalResults) {
   }
 }
 
-TEST(XmpiScheduler, PoolMatchesThreadPerRankBitForBit) {
-  const CampaignRun pool = run_campaign(
-      16, hw::LoadLayout::kFullLoad, ExecutorKind::kWorkerPool, 4, "pool");
-  const CampaignRun threads = run_campaign(
-      16, hw::LoadLayout::kFullLoad, ExecutorKind::kThreadPerRank, 0,
-      "threads");
-  EXPECT_EQ(pool.result.host_executor, "pool");
-  EXPECT_EQ(threads.result.host_executor, "threads");
-  expect_identical(pool.result, threads.result);
-  EXPECT_EQ(pool.trace, threads.trace);
-}
-
 TEST(XmpiScheduler, RepeatedPoolRunsAreBitIdentical) {
-  const CampaignRun first = run_campaign(
-      12, hw::LoadLayout::kFullLoad, ExecutorKind::kWorkerPool, 3, "r1");
-  const CampaignRun second = run_campaign(
-      12, hw::LoadLayout::kFullLoad, ExecutorKind::kWorkerPool, 3, "r2");
+  const CampaignRun first =
+      run_campaign(12, hw::LoadLayout::kFullLoad, 3, "r1");
+  const CampaignRun second =
+      run_campaign(12, hw::LoadLayout::kFullLoad, 3, "r2");
   expect_identical(first.result, second.result);
   EXPECT_EQ(first.trace, second.trace);
 }
@@ -200,38 +185,20 @@ TEST(XmpiScheduler, SingleRankWorldRunsInlineOnCallingThread) {
   EXPECT_EQ(result.host_workers, 1u);
 }
 
-TEST(XmpiScheduler, EnvVariablesSelectExecutorAndWorkers) {
-  ASSERT_EQ(setenv("PLIN_XMPI_EXECUTOR", "threads", 1), 0);
-  RunResult result = Runtime::run(mini_config(4), [](Comm& comm) {
-    comm.barrier();
-  });
-  EXPECT_EQ(result.host_executor, "threads");
-
-  ASSERT_EQ(setenv("PLIN_XMPI_EXECUTOR", "pool", 1), 0);
+TEST(XmpiScheduler, EnvVariableSelectsWorkers) {
   ASSERT_EQ(setenv("PLIN_XMPI_WORKERS", "3", 1), 0);
-  result = Runtime::run(mini_config(4), [](Comm& comm) { comm.barrier(); });
+  RunResult result =
+      Runtime::run(mini_config(4), [](Comm& comm) { comm.barrier(); });
   EXPECT_EQ(result.host_executor, "pool");
   EXPECT_EQ(result.host_workers, 3u);
 
   // Explicit config wins over the environment.
   RunConfig config = mini_config(4);
-  config.executor = ExecutorKind::kWorkerPool;
   config.workers = 2;
-  ASSERT_EQ(setenv("PLIN_XMPI_EXECUTOR", "threads", 1), 0);
   result = Runtime::run(config, [](Comm& comm) { comm.barrier(); });
-  EXPECT_EQ(result.host_executor, "pool");
   EXPECT_EQ(result.host_workers, 2u);
 
-  ASSERT_EQ(unsetenv("PLIN_XMPI_EXECUTOR"), 0);
   ASSERT_EQ(unsetenv("PLIN_XMPI_WORKERS"), 0);
-}
-
-TEST(XmpiScheduler, TinyStackRequestIsClampedAndRuns) {
-  RunConfig config = mini_config(8);
-  config.executor = ExecutorKind::kWorkerPool;
-  config.fiber_stack_bytes = 1024;  // clamped up to a safe minimum
-  const RunResult result = Runtime::run(config, mixed_campaign);
-  EXPECT_GT(result.duration_s, 0.0);
 }
 
 struct CampaignError : std::runtime_error {
@@ -254,39 +221,35 @@ void aborting_campaign(Comm& comm) {
 
 TEST(XmpiScheduler, AbortUnparksEveryRankInPool) {
   RunConfig config = mini_config(12);
-  config.executor = ExecutorKind::kWorkerPool;
   config.workers = 4;
   EXPECT_THROW(Runtime::run(config, aborting_campaign), CampaignError);
 }
 
-TEST(XmpiScheduler, AbortUnparksEveryRankInThreadFallback) {
-  RunConfig config = mini_config(12);
-  config.executor = ExecutorKind::kThreadPerRank;
-  EXPECT_THROW(Runtime::run(config, aborting_campaign), CampaignError);
-}
-
 TEST(XmpiScheduler, DeadlockIsDetectedAndDiagnosed) {
-  RunConfig config = mini_config(4);
-  config.executor = ExecutorKind::kWorkerPool;
-  config.workers = 2;
-  try {
-    // Everyone receives, nobody sends: a guaranteed communication deadlock
-    // that thread-per-rank would hang on forever.
-    Runtime::run(config, [](Comm& comm) {
-      (void)comm.recv_value<int>((comm.rank() + 1) % comm.size(), /*tag=*/1);
-    });
-    FAIL() << "deadlocked run returned";
-  } catch (const Aborted&) {
-    FAIL() << "deadlock surfaced as a bare Aborted instead of a diagnosis";
-  } catch (const Error& error) {
-    EXPECT_NE(std::string(error.what()).find("deadlock"), std::string::npos);
+  // Everyone receives, nobody sends: a guaranteed communication deadlock,
+  // both in the worker pool and on the 1-rank inline path.
+  for (const int ranks : {4, 1}) {
+    RunConfig config = mini_config(ranks);
+    config.workers = 2;
+    try {
+      Runtime::run(config, [](Comm& comm) {
+        (void)comm.recv_value<int>((comm.rank() + 1) % comm.size(),
+                                   /*tag=*/1);
+      });
+      FAIL() << ranks << "-rank deadlocked run returned";
+    } catch (const Aborted&) {
+      FAIL() << "deadlock surfaced as a bare Aborted instead of a diagnosis";
+    } catch (const Error& error) {
+      EXPECT_NE(std::string(error.what()).find("xmpi deadlock detected"),
+                std::string::npos)
+          << ranks << " ranks: " << error.what();
+    }
   }
 }
 
 TEST(XmpiScheduler, ManyMoreRanksThanWorkersComplete) {
   RunConfig config = mini_config(96, hw::LoadLayout::kFullLoad,
                                  /*cores_per_socket=*/4);
-  config.executor = ExecutorKind::kWorkerPool;
   config.workers = 2;
   const RunResult result = Runtime::run(config, [](Comm& comm) {
     // Ring neighbour exchange forces every rank through park/resume.
@@ -301,6 +264,29 @@ TEST(XmpiScheduler, ManyMoreRanksThanWorkersComplete) {
 }
 
 // -- channel-indexed mailbox unit tests ------------------------------------
+
+/// Blocks the receiving std::thread until woken. Like the scheduler's
+/// fibers it tolerates a wake() that arrives before park().
+class ThreadParker final : public Mailbox::Parker {
+ public:
+  void park() override {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [this] { return woken_; });
+    woken_ = false;
+  }
+  void wake() override {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      woken_ = true;
+    }
+    cv_.notify_one();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool woken_ = false;
+};
 
 Envelope make_envelope(int src, int tag, std::uint64_t context,
                        double arrival) {
@@ -377,6 +363,8 @@ TEST(XmpiMailbox, ProbeMatchesWithoutRemoving) {
 
 TEST(XmpiMailbox, InterruptWakesBlockedMatcherWithAborted) {
   Mailbox mailbox;
+  ThreadParker parker;
+  mailbox.set_parker(&parker);
   std::atomic<bool> abort{false};
   std::thread receiver([&] {
     EXPECT_THROW((void)mailbox.match(0, 1, 1, abort), Aborted);
@@ -391,6 +379,8 @@ TEST(XmpiMailbox, InterruptWakesBlockedMatcherWithAborted) {
 
 TEST(XmpiMailbox, TargetedWakeupDeliversAcrossThreads) {
   Mailbox mailbox;
+  ThreadParker parker;
+  mailbox.set_parker(&parker);
   std::atomic<bool> abort{false};
   std::thread receiver([&] {
     const Envelope envelope = mailbox.match(7, 3, 1, abort);
