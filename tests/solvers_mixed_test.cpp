@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -60,9 +61,12 @@ bool bitwise_equal(const std::vector<double>& a,
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
+// gtest names each case after the raw bytes of its parameter, so the struct
+// must have no padding: padding bytes are uninitialised and would give the
+// test a different name in every build.
 struct MixedCase {
   std::size_t n;
-  int ranks;
+  std::int64_t ranks;
 };
 
 class GeppMixedParam : public ::testing::TestWithParam<MixedCase> {};

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 
 #include "hwmodel/placement.hpp"
 #include "linalg/generate.hpp"
@@ -27,9 +28,12 @@ xmpi::RunConfig mini_config(int ranks) {
   return config;
 }
 
+// gtest names each case after the raw bytes of its parameter, so the struct
+// must have no padding: padding bytes are uninitialised and would give the
+// test a different name in every build.
 struct ParallelCase {
   std::size_t n;
-  int ranks;
+  std::int64_t ranks;
 };
 
 class PdgesvParam : public ::testing::TestWithParam<ParallelCase> {};
