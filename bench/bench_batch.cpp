@@ -3,8 +3,8 @@
 // Runs one numeric-tier campaign grid through the orchestrator four ways —
 // fresh on 1 worker, fresh on 4 workers, interrupted + resumed, and a
 // pure-cache resume — prints a host wall-clock table and writes
-// machine-readable `BENCH_batch.json` (mirroring BENCH_kernels.json /
-// BENCH_xmpi.json) so orchestration overhead has a recorded trajectory.
+// machine-readable `BENCH_batch.json` (schema powerlin-bench-batch/v1) so
+// orchestration overhead has a recorded trajectory.
 // The simulated results are bit-identical across all four schedules, which
 // the harness verifies by diffing the stores' report bytes.
 //
@@ -21,8 +21,9 @@
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
+
 #include "batch/campaign.hpp"
-#include "support/cli.hpp"
 #include "support/error.hpp"
 #include "support/stopwatch.hpp"
 #include "support/table.hpp"
@@ -75,7 +76,8 @@ Case run_case(const std::string& name, const batch::CampaignManifest& manifest,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+  const CliArgs args =
+      bench::parse_flags(argc, argv, {"smoke", "check", "out"});
   const bool smoke = args.get_bool("smoke", false);
   const bool check = args.get_bool("check", false);
   const std::string out_path = args.get("out", "BENCH_batch.json");
@@ -138,26 +140,28 @@ int main(int argc, char** argv) {
   std::cout << "\nreports byte-identical across schedules: "
             << (identical ? "yes" : "NO") << "\n";
 
-  std::ofstream json(out_path, std::ios::trunc);
-  json << "{\n  \"bench\": \"batch\",\n  \"jobs\": " << manifest.job_count()
-       << ",\n  \"smoke\": " << (smoke ? "true" : "false")
-       << ",\n  \"reports_identical\": " << (identical ? "true" : "false")
-       << ",\n  \"cases\": [\n";
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const Case& c = cases[i];
-    json << "    {\"name\": \"" << c.name << "\", \"host_s\": " << c.host_s
-         << ", \"executed\": " << c.executed << ", \"cached\": " << c.cached
-         << "}" << (i + 1 < cases.size() ? "," : "") << "\n";
+  json::Value report = bench::new_report("powerlin-bench-batch/v1", smoke);
+  report.set("bench", "batch");
+  report.set("jobs", manifest.job_count());
+  report.set("smoke", smoke);
+  report.set("reports_identical", identical);
+  json::Array rows;
+  for (const Case& c : cases) {
+    json::Value row = json::make_object();
+    row.set("name", c.name);
+    row.set("host_s", c.host_s);
+    row.set("executed", c.executed);
+    row.set("cached", c.cached);
+    rows.push_back(std::move(row));
   }
-  json << "  ]\n}\n";
-  std::cout << "wrote " << out_path << "\n";
+  report.set("cases", std::move(rows));
+  bench::Gates gates;
+  bench::write_report(out_path, report, gates);
 
   if (check) {
-    const bool cache_wins = cases.back().host_s < cases.front().host_s;
-    std::cout << "check: identical=" << (identical ? "pass" : "FAIL")
-              << " cache-beats-fresh=" << (cache_wins ? "pass" : "FAIL")
-              << "\n";
-    return identical && cache_wins ? 0 : 1;
+    gates.record("identical", identical);
+    gates.record("cache-beats-fresh",
+                 cases.back().host_s < cases.front().host_s);
   }
-  return 0;
+  return gates.exit_code();
 }

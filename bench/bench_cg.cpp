@@ -45,12 +45,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
+
+#include "harness.hpp"
 
 #include "hwmodel/machine.hpp"
 #include "hwmodel/placement.hpp"
@@ -138,7 +137,7 @@ double time_stream_floor(const sparse::CsrMatrix& a, std::uint64_t* sink) {
   for (int rep = 0; rep < 3; ++rep) {
     Stopwatch wall;
     std::uint64_t acc[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    for (const auto [base, words] :
+    for (const auto& [base, words] :
          {std::pair{vals, val_words}, std::pair{cols, col_words}}) {
       std::size_t w = 0;
       for (; w + 8 <= words; w += 8) {
@@ -155,48 +154,15 @@ double time_stream_floor(const sparse::CsrMatrix& a, std::uint64_t* sink) {
   return best;
 }
 
-std::string fmt(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return buf;
-}
-
-double baseline_field(const std::string& path, const std::string& name) {
-  std::ifstream in(path);
-  if (!in) return -1.0;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-  const std::string key = "\"" + name + "\":";
-  const std::size_t at = text.find(key);
-  if (at == std::string::npos) return -1.0;
-  return std::strtod(text.c_str() + at + key.size(), nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  bool check = false;
-  std::string out_path = "BENCH_cg.json";
-  std::string baseline_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    } else if (std::strncmp(argv[i], "--baseline=", 11) == 0) {
-      baseline_path = argv[i] + 11;
-    } else {
-      std::fprintf(stderr,
-                   "error: unknown argument '%s' (expected --smoke --check "
-                   "--out=PATH --baseline=PATH)\n",
-                   argv[i]);
-      return 2;
-    }
-  }
+  const CliArgs args =
+      bench::parse_flags(argc, argv, {"smoke", "check", "out", "baseline"});
+  const bool smoke = args.get_bool("smoke", false);
+  const bool check = args.get_bool("check", false);
+  const std::string out_path = args.get("out", "BENCH_cg.json");
+  const std::string baseline_path = args.get("baseline", "");
 
   const std::size_t n = smoke ? 4096 : 16384;
   std::printf("bench_cg: stencil5 n=%zu, %d ranks, tol %g (%s)\n", n, kRanks,
@@ -269,99 +235,57 @@ int main(int argc, char** argv) {
   std::printf("  replay:   %8.3f us/iter predicted (%.2fx executed)\n",
               predicted_iter_s * 1e6, model_ratio);
 
-  std::ofstream out(out_path);
-  out << "{\n"
-      << "  \"schema\": \"powerlin-bench-cg/v1\",\n"
-      << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n"
-      << "  \"n\": " << n << ",\n"
-      << "  \"ranks\": " << kRanks << ",\n"
-      << "  \"blocking_iters\": " << blocking.iters << ",\n"
-      << "  \"blocking_s\": " << fmt(blocking.duration_s) << ",\n"
-      << "  \"blocking_iter_s\": " << fmt(blocking.iter_s) << ",\n"
-      << "  \"overlap_s\": " << fmt(overlap.duration_s) << ",\n"
-      << "  \"fused_iters\": " << fused.iters << ",\n"
-      << "  \"fused_s\": " << fmt(fused.duration_s) << ",\n"
-      << "  \"fused_iter_s\": " << fmt(fused.iter_s) << ",\n"
-      << "  \"speedup\": " << fmt(speedup) << ",\n"
-      << "  \"bit_identical\": " << (bit_identical ? "true" : "false")
-      << ",\n"
-      << "  \"simd_isa\": \"" << isa << "\",\n"
-      << "  \"spmv_scalar_s\": " << fmt(scalar_s) << ",\n"
-      << "  \"spmv_simd_s\": " << fmt(simd_s) << ",\n"
-      << "  \"spmv_speedup\": " << fmt(spmv_speedup) << ",\n"
-      << "  \"spmv_stream_s\": " << fmt(stream_s) << ",\n"
-      << "  \"spmv_attainable\": " << fmt(attainable) << ",\n"
-      << "  \"spmv_floor\": " << fmt(spmv_floor) << ",\n"
-      << "  \"predicted_iter_s\": " << fmt(predicted_iter_s) << ",\n"
-      << "  \"model_ratio\": " << fmt(model_ratio) << "\n}\n";
-  if (!out.flush()) {
-    std::fprintf(stderr, "FAIL: could not write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", out_path.c_str());
+  json::Value report = bench::new_report("powerlin-bench-cg/v1", smoke);
+  report.set("n", n);
+  report.set("ranks", kRanks);
+  report.set("blocking_iters", blocking.iters);
+  report.set("blocking_s", blocking.duration_s);
+  report.set("blocking_iter_s", blocking.iter_s);
+  report.set("overlap_s", overlap.duration_s);
+  report.set("fused_iters", fused.iters);
+  report.set("fused_s", fused.duration_s);
+  report.set("fused_iter_s", fused.iter_s);
+  report.set("speedup", speedup);
+  report.set("bit_identical", bit_identical);
+  report.set("simd_isa", isa);
+  report.set("spmv_scalar_s", scalar_s);
+  report.set("spmv_simd_s", simd_s);
+  report.set("spmv_speedup", spmv_speedup);
+  report.set("spmv_stream_s", stream_s);
+  report.set("spmv_attainable", attainable);
+  report.set("spmv_floor", spmv_floor);
+  report.set("predicted_iter_s", predicted_iter_s);
+  report.set("model_ratio", model_ratio);
+  bench::Gates gates;
+  bench::write_report(out_path, report, gates);
 
   if (check) {
-    bool ok = true;
-    if (!bit_identical) {
-      std::fprintf(stderr,
-                   "FAIL: overlap path is not bit-identical to blocking\n");
-      ok = false;
+    gates.record("overlap-bit-identical", bit_identical,
+                 "overlap path is not bit-identical to blocking");
+    if (smoke) {
+      gates.record("fused-speedup>=1.3x", speedup >= 1.3,
+                   bench::describe("fused iteration speedup ", speedup,
+                                   "x at the latency-dominated smoke point"));
     }
-    if (smoke && speedup < 1.3) {
-      std::fprintf(stderr,
-                   "FAIL: fused iteration speedup %.2fx below the 1.3x "
-                   "gate at the latency-dominated smoke point\n",
-                   speedup);
-      ok = false;
-    }
-    if (spmv_speedup < spmv_floor) {
-      std::fprintf(stderr,
-                   "FAIL: simd spmv speedup %.2fx below the %.2fx floor "
-                   "(%s, stream ceiling %.2fx)\n",
-                   spmv_speedup, spmv_floor, isa.c_str(), attainable);
-      ok = false;
-    }
-    if (model_ratio > 3.0 || (model_ratio > 0.0 && model_ratio < 1.0 / 3.0)) {
-      std::fprintf(stderr,
-                   "FAIL: perfsim per-iteration prediction off by %.2fx "
-                   "(envelope 3x)\n",
-                   model_ratio);
-      ok = false;
-    }
+    gates.record("simd-spmv>=floor", spmv_speedup >= spmv_floor,
+                 bench::describe("simd spmv speedup ", spmv_speedup,
+                                 "x below the ", spmv_floor, "x floor (", isa,
+                                 ", stream ceiling ", attainable, "x)"));
+    gates.record("model-envelope-3x",
+                 !(model_ratio > 3.0 ||
+                   (model_ratio > 0.0 && model_ratio < 1.0 / 3.0)),
+                 bench::describe("perfsim per-iteration prediction off by ",
+                                 model_ratio, "x"));
     if (!baseline_path.empty()) {
       // Virtual-time outputs are deterministic: iterations exact, durations
       // to the %.6g precision the baseline file stores.
-      const struct {
-        const char* name;
-        double value;
-        bool exact;
-      } fields[] = {
-          {"blocking_iters", static_cast<double>(blocking.iters), true},
-          {"fused_iters", static_cast<double>(fused.iters), true},
-          {"blocking_s", blocking.duration_s, false},
-          {"overlap_s", overlap.duration_s, false},
-          {"fused_s", fused.duration_s, false},
-      };
-      for (const auto& field : fields) {
-        const double base = baseline_field(baseline_path, field.name);
-        if (base < 0.0) {
-          std::fprintf(stderr, "FAIL: no %s field in %s\n", field.name,
-                       baseline_path.c_str());
-          ok = false;
-          continue;
-        }
-        const bool match = field.exact
-                               ? base == field.value
-                               : std::fabs(field.value - base) <= 1e-5 * base;
-        if (!match) {
-          std::fprintf(stderr, "FAIL: %s %.6g != baseline %.6g\n",
-                       field.name, field.value, base);
-          ok = false;
-        }
-      }
-      if (ok) std::printf("check ok: matches %s\n", baseline_path.c_str());
+      bench::Baseline baseline(baseline_path, gates);
+      baseline.compare("blocking_iters", blocking.iters, bench::kExact);
+      baseline.compare("fused_iters", fused.iters, bench::kExact);
+      baseline.compare("blocking_s", blocking.duration_s, bench::within(1e-5));
+      baseline.compare("overlap_s", overlap.duration_s, bench::within(1e-5));
+      baseline.compare("fused_s", fused.duration_s, bench::within(1e-5));
     }
-    if (!ok) return 1;
   }
-  return 0;
+  return gates.exit_code();
 }

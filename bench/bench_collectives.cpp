@@ -19,34 +19,18 @@
 //               (b) the pool removes heap allocations (misses < payload
 //                   acquires; without recycling every acquire would
 //                   allocate).
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
-#include "hwmodel/placement.hpp"
+#include "harness.hpp"
+
 #include "xmpi/runtime.hpp"
 
 namespace {
 
 using namespace plin;
-
-xmpi::RunConfig harness_config(int ranks, xmpi::CollectiveMode collectives) {
-  // Same fully loaded mini-cluster shape as bench_xmpi (2 sockets x 8
-  // cores per node, just enough nodes for the rank count).
-  constexpr int kCoresPerSocket = 8;
-  const int nodes = (ranks + 2 * kCoresPerSocket - 1) / (2 * kCoresPerSocket);
-  xmpi::RunConfig config;
-  config.machine = hw::mini_cluster(std::max(nodes, 1), kCoresPerSocket);
-  config.placement = hw::make_placement(ranks, hw::LoadLayout::kFullLoad,
-                                        config.machine);
-  config.transport.collectives = collectives;
-  return config;
-}
 
 // ---- workloads -------------------------------------------------------------
 
@@ -109,14 +93,6 @@ constexpr WorkloadSpec kWorkloads[] = {
 
 // ---- measurement -----------------------------------------------------------
 
-template <typename F>
-double seconds_of(F&& body) {
-  const auto t0 = std::chrono::steady_clock::now();
-  body();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
 /// One mode of one workload: virtual + host timing and transport counters.
 struct ModeSample {
   double duration_s = 0.0;      // virtual
@@ -131,7 +107,8 @@ struct ModeSample {
 
 ModeSample sample(const WorkloadSpec& spec, int ranks,
                   xmpi::CollectiveMode collectives) {
-  const xmpi::RunConfig config = harness_config(ranks, collectives);
+  xmpi::RunConfig config = bench::full_load_config(ranks);
+  config.transport.collectives = collectives;
   ModeSample out;
   const auto once = [&] {
     const xmpi::RunResult run = xmpi::Runtime::run(config, spec.body);
@@ -145,10 +122,7 @@ ModeSample sample(const WorkloadSpec& spec, int ranks,
     out.pool_hits = run.transport.pool.hits;
     out.rendezvous = run.transport.rendezvous_messages;
   };
-  double best = seconds_of(once);  // warm measurement doubles as rep 1
-  const int reps = best > 1.0 ? 1 : 3;
-  for (int r = 0; r < reps; ++r) best = std::min(best, seconds_of(once));
-  out.host_s = best;
+  out.host_s = bench::best_seconds(once);
   return out;
 }
 
@@ -167,42 +141,17 @@ struct CaseResult {
   }
 };
 
-std::string fmt(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return buf;
-}
-
-bool write_json(const std::string& path, bool smoke,
-                const std::vector<CaseResult>& results) {
-  std::ofstream out(path);
-  out << "{\n"
-      << "  \"schema\": \"powerlin-bench-collectives/v1\",\n"
-      << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n"
-      << "  \"results\": [\n";
-  bool first = true;
-  for (const CaseResult& r : results) {
-    if (!first) out << ",\n";
-    first = false;
-    const auto mode_json = [&](const char* key, const ModeSample& m) {
-      out << "\"" << key << "\": {\"duration_s\": " << fmt(m.duration_s)
-          << ", \"root_through_bytes\": " << m.root_bytes
-          << ", \"messages\": " << m.messages
-          << ", \"acquires\": " << m.acquires
-          << ", \"alloc_count\": " << m.allocs
-          << ", \"pool_hits\": " << m.pool_hits
-          << ", \"rendezvous_messages\": " << m.rendezvous
-          << ", \"host_s\": " << fmt(m.host_s) << "}";
-    };
-    out << "    {\"workload\": \"" << r.workload << "\", \"ranks\": "
-        << r.ranks << ", ";
-    mode_json("tree", r.tree);
-    out << ", ";
-    mode_json("scalable", r.scalable);
-    out << ", \"root_bytes_ratio\": " << fmt(r.root_ratio()) << "}";
-  }
-  out << "\n  ]\n}\n";
-  return static_cast<bool>(out.flush());
+json::Value mode_json(const ModeSample& m) {
+  json::Value out = json::make_object();
+  out.set("duration_s", m.duration_s);
+  out.set("root_through_bytes", m.root_bytes);
+  out.set("messages", m.messages);
+  out.set("acquires", m.acquires);
+  out.set("alloc_count", m.allocs);
+  out.set("pool_hits", m.pool_hits);
+  out.set("rendezvous_messages", m.rendezvous);
+  out.set("host_s", m.host_s);
+  return out;
 }
 
 int run_harness(bool smoke, bool check, const std::string& out_path) {
@@ -236,14 +185,23 @@ int run_harness(bool smoke, bool check, const std::string& out_path) {
                 static_cast<unsigned long long>(r.tree.rendezvous));
   }
 
-  if (!write_json(out_path, smoke, results)) {
-    std::fprintf(stderr, "FAIL: could not write %s\n", out_path.c_str());
-    return 1;
+  json::Value report =
+      bench::new_report("powerlin-bench-collectives/v1", smoke);
+  json::Array rows;
+  for (const CaseResult& r : results) {
+    json::Value row = json::make_object();
+    row.set("workload", r.workload);
+    row.set("ranks", r.ranks);
+    row.set("tree", mode_json(r.tree));
+    row.set("scalable", mode_json(r.scalable));
+    row.set("root_bytes_ratio", r.root_ratio());
+    rows.push_back(std::move(row));
   }
-  std::printf("\nwrote %s\n", out_path.c_str());
+  report.set("results", std::move(rows));
+  bench::Gates gates;
+  bench::write_report(out_path, report, gates);
 
-  if (!check) return 0;
-  int failures = 0;
+  if (!check) return gates.exit_code();
   const int largest = rank_counts.back();
   // Rendezvous delivery already bypasses the allocator for most exact-match
   // receives, so the pool's remaining win is gated in aggregate over the
@@ -256,45 +214,25 @@ int run_harness(bool smoke, bool check, const std::string& out_path) {
     if (r.ranks != largest) continue;
     allocs += r.tree.allocs;
     acquires += r.tree.acquires;
-    if (r.gated && r.root_ratio() < 2.0) {
-      std::fprintf(stderr,
-                   "FAIL: %s at %d ranks moves only %.2fx less data through "
-                   "rank 0 with the scalable schedule (need >= 2x)\n",
-                   r.workload.c_str(), r.ranks, r.root_ratio());
-      ++failures;
+    if (r.gated) {
+      gates.record(r.workload + "-root-bytes>=2x", r.root_ratio() >= 2.0,
+                   bench::describe("only ", r.root_ratio(),
+                                   "x less data through rank 0 at ", r.ranks,
+                                   " ranks"));
     }
   }
-  if (allocs >= acquires) {
-    std::fprintf(stderr,
-                 "FAIL: heap allocations (%llu) not below payload acquires "
-                 "(%llu) at %d ranks\n",
-                 static_cast<unsigned long long>(allocs),
-                 static_cast<unsigned long long>(acquires), largest);
-    ++failures;
-  }
-  return failures == 0 ? 0 : 1;
+  gates.record("pool-allocs<acquires", allocs < acquires,
+               bench::describe(allocs, " heap allocations, ", acquires,
+                               " payload acquires at ", largest, " ranks"));
+  return gates.exit_code();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  bool check = false;
-  std::string out_path = "BENCH_collectives.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    } else {
-      std::fprintf(stderr,
-                   "error: unknown argument '%s' (expected --smoke --check "
-                   "--out=PATH)\n",
-                   argv[i]);
-      return 2;
-    }
-  }
-  return run_harness(smoke, check, out_path);
+  const CliArgs args =
+      bench::parse_flags(argc, argv, {"smoke", "check", "out"});
+  return run_harness(args.get_bool("smoke", false),
+                     args.get_bool("check", false),
+                     args.get("out", "BENCH_collectives.json"));
 }

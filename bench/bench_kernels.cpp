@@ -1,6 +1,4 @@
-// Kernel perf-regression harness + google-benchmark microbenchmarks.
-//
-// Default mode runs the regression harness: it sweeps GEMM shapes (square,
+// Kernel perf-regression harness: it sweeps GEMM shapes (square,
 // panel-shaped, KC-thin trailing-update) and the triangular solves over
 // BOTH kernel paths — the retained naive reference and the cache-blocked
 // packed engine — at BOTH precisions (fp64 and the fp32 tier the mixed
@@ -13,32 +11,21 @@
 //   --out=PATH      JSON output path (default BENCH_kernels.json)
 //   --check         exit nonzero unless blocked >= naive GFLOP/s on the
 //                   largest square GEMM shape of the sweep
-//   --gbench        run the original google-benchmark microbenchmarks
-//                   (remaining argv is passed through to the library)
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <iostream>
 #include <string>
 #include <vector>
 
-#include "linalg/generate.hpp"
+#include "harness.hpp"
+
 #include "linalg/kernel_config.hpp"
 #include "linalg/kernels.hpp"
-#include "solvers/gepp/sequential.hpp"
-#include "solvers/ime/sequential.hpp"
 #include "support/rng.hpp"
 
 namespace {
 
 using namespace plin;
-
-// ---- regression harness ----------------------------------------------------
 
 template <typename T>
 linalg::BasicMatrix<T> random_matrix(std::size_t rows, std::size_t cols,
@@ -61,27 +48,6 @@ template <typename T>
 double diff_budget(std::size_t k) {
   const double unit = sizeof(T) == sizeof(double) ? 1e-12 : 1e-3;
   return unit * static_cast<double>(k) * 16.0;
-}
-
-template <typename F>
-double seconds_of(F&& body) {
-  const auto t0 = std::chrono::steady_clock::now();
-  body();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
-/// Best-of-N wall-clock of `body` (one untimed warmup; N adapts so cheap
-/// shapes are sampled more often than half-second ones).
-template <typename F>
-double best_seconds(F&& body) {
-  const double first = seconds_of(body);
-  int reps = 2;
-  if (first < 0.05) reps = 8;
-  if (first > 0.5) reps = 1;
-  double best = first;
-  for (int r = 0; r < reps; ++r) best = std::min(best, seconds_of(body));
-  return best;
 }
 
 struct GemmResult {
@@ -120,13 +86,11 @@ GemmResult measure_gemm(const std::string& shape, std::size_t m, std::size_t n,
   }
 
   linalg::BasicMatrix<T> c = c0;
-  const double t_naive = best_seconds([&] {
+  const double t_naive = bench::best_seconds([&] {
     linalg::gemm_naive<T>(T(1), a.view(), b.view(), T(0.5), c.view());
-    benchmark::DoNotOptimize(c.flat().data());
   });
-  const double t_blocked = best_seconds([&] {
+  const double t_blocked = bench::best_seconds([&] {
     linalg::gemm_blocked<T>(T(1), a.view(), b.view(), T(0.5), c.view());
-    benchmark::DoNotOptimize(c.flat().data());
   });
 
   GemmResult result;
@@ -179,15 +143,13 @@ TrsmResult measure_trsm_lower(std::size_t n, std::size_t m) {
   }
 
   linalg::BasicMatrix<T> x(n, m);
-  const double t_naive = best_seconds([&] {
+  const double t_naive = bench::best_seconds([&] {
     x = b0;
     linalg::trsm_lower_unit_naive<T>(l.view(), x.view());
-    benchmark::DoNotOptimize(x.flat().data());
   });
-  const double t_blocked = best_seconds([&] {
+  const double t_blocked = bench::best_seconds([&] {
     x = b0;
     linalg::trsm_lower_unit_blocked<T>(l.view(), x.view());
-    benchmark::DoNotOptimize(x.flat().data());
   });
 
   TrsmResult result;
@@ -202,53 +164,50 @@ TrsmResult measure_trsm_lower(std::size_t n, std::size_t m) {
   return result;
 }
 
-std::string fmt(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return buf;
+json::Value result_json(const char* kernel, const char* precision,
+                        const std::string& shape, std::size_t m,
+                        std::size_t n, std::size_t k, double gflops_naive,
+                        double gflops_blocked, double max_abs_diff) {
+  json::Value out = json::make_object();
+  out.set("kernel", kernel);
+  out.set("precision", precision);
+  out.set("shape", shape);
+  out.set("m", m);
+  out.set("n", n);
+  out.set("k", k);
+  out.set("gflops_naive", gflops_naive);
+  out.set("gflops_blocked", gflops_blocked);
+  out.set("speedup", gflops_naive > 0.0 ? gflops_blocked / gflops_naive : 0.0);
+  out.set("max_abs_diff", max_abs_diff);
+  return out;
 }
 
-bool write_json(const std::string& path, bool smoke,
-                const std::vector<GemmResult>& gemm,
-                const std::vector<TrsmResult>& trsm) {
+json::Value make_report(bool smoke, const std::vector<GemmResult>& gemm,
+                        const std::vector<TrsmResult>& trsm) {
   const linalg::KernelConfig& cfg = linalg::active_kernel_config();
-  std::ofstream out(path);
-  out << "{\n"
-      << "  \"schema\": \"powerlin-bench-kernels/v2\",\n"
-      << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n"
-      << "  \"kernel_config\": {\"mc\": " << cfg.mc << ", \"kc\": " << cfg.kc
-      << ", \"nc\": " << cfg.nc << ", \"mr\": " << cfg.mr << ", \"nr\": "
-      << cfg.nr << ", \"trsm_block\": " << cfg.trsm_block << "},\n"
-      << "  \"results\": [\n";
-  bool first = true;
+  json::Value config = json::make_object();
+  config.set("mc", cfg.mc);
+  config.set("kc", cfg.kc);
+  config.set("nc", cfg.nc);
+  config.set("mr", cfg.mr);
+  config.set("nr", cfg.nr);
+  config.set("trsm_block", cfg.trsm_block);
+  json::Value report = bench::new_report("powerlin-bench-kernels/v2", smoke);
+  report.set("kernel_config", std::move(config));
+  json::Array results;
   for (const GemmResult& r : gemm) {
-    if (!first) out << ",\n";
-    first = false;
-    out << "    {\"kernel\": \""
-        << (std::strcmp(r.precision, "fp64") == 0 ? "dgemm" : "sgemm")
-        << "\", \"precision\": \"" << r.precision << "\", \"shape\": \""
-        << r.shape << "\", \"m\": " << r.m << ", \"n\": " << r.n
-        << ", \"k\": " << r.k
-        << ", \"gflops_naive\": " << fmt(r.gflops_naive)
-        << ", \"gflops_blocked\": " << fmt(r.gflops_blocked)
-        << ", \"speedup\": " << fmt(r.speedup())
-        << ", \"max_abs_diff\": " << fmt(r.max_abs_diff) << "}";
+    results.push_back(result_json(
+        std::string_view(r.precision) == "fp64" ? "dgemm" : "sgemm",
+        r.precision, r.shape, r.m, r.n, r.k, r.gflops_naive, r.gflops_blocked,
+        r.max_abs_diff));
   }
   for (const TrsmResult& r : trsm) {
-    if (!first) out << ",\n";
-    first = false;
-    const double speedup =
-        r.gflops_naive > 0.0 ? r.gflops_blocked / r.gflops_naive : 0.0;
-    out << "    {\"kernel\": \"" << r.kernel << "\", \"precision\": \""
-        << r.precision << "\", \"shape\": \"square\""
-        << ", \"m\": " << r.n << ", \"n\": " << r.m << ", \"k\": " << r.n
-        << ", \"gflops_naive\": " << fmt(r.gflops_naive)
-        << ", \"gflops_blocked\": " << fmt(r.gflops_blocked)
-        << ", \"speedup\": " << fmt(speedup)
-        << ", \"max_abs_diff\": " << fmt(r.max_abs_diff) << "}";
+    results.push_back(result_json(r.kernel.c_str(), r.precision, "square",
+                                  r.n, r.m, r.n, r.gflops_naive,
+                                  r.gflops_blocked, r.max_abs_diff));
   }
-  out << "\n  ]\n}\n";
-  return static_cast<bool>(out.flush());
+  report.set("results", std::move(results));
+  return report;
 }
 
 int run_harness(bool smoke, bool check, const std::string& out_path) {
@@ -284,7 +243,7 @@ int run_harness(bool smoke, bool check, const std::string& out_path) {
   const GemmResult* largest_square = nullptr;
   bool numerics_ok = true;
   for (const GemmResult& r : gemm) {
-    const bool fp64 = std::strcmp(r.precision, "fp64") == 0;
+    const bool fp64 = std::string_view(r.precision) == "fp64";
     std::printf("%s/%-12s %4s %6zu %6zu %6zu | %12.3f %12.3f %7.2fx "
                 "%12.3g\n",
                 fp64 ? "dgemm" : "sgemm", r.shape.c_str(), r.precision, r.m,
@@ -303,217 +262,29 @@ int run_harness(bool smoke, bool check, const std::string& out_path) {
                 r.max_abs_diff);
   }
 
-  if (!write_json(out_path, smoke, gemm, trsm)) {
-    std::fprintf(stderr, "FAIL: could not write %s\n", out_path.c_str());
-    return 1;
+  bench::Gates gates;
+  bench::write_report(out_path, make_report(smoke, gemm, trsm), gates);
+  gates.record("naive-blocked-agree", numerics_ok,
+               "naive/blocked results diverged");
+  if (check && largest_square != nullptr) {
+    gates.record("blocked>=naive",
+                 largest_square->gflops_blocked >=
+                     largest_square->gflops_naive,
+                 bench::describe("blocked dgemm ",
+                                 largest_square->gflops_blocked,
+                                 " GF/s vs naive ",
+                                 largest_square->gflops_naive, " GF/s at ",
+                                 largest_square->m, "^3"));
   }
-  std::printf("\nwrote %s\n", out_path.c_str());
-
-  if (!numerics_ok) {
-    std::fprintf(stderr, "FAIL: naive/blocked results diverged\n");
-    return 1;
-  }
-  if (check && largest_square != nullptr &&
-      largest_square->gflops_blocked < largest_square->gflops_naive) {
-    std::fprintf(stderr,
-                 "FAIL: blocked dgemm (%.3f GF/s) slower than naive "
-                 "(%.3f GF/s) at %zu^3\n",
-                 largest_square->gflops_blocked, largest_square->gflops_naive,
-                 largest_square->m);
-    return 1;
-  }
-  return 0;
+  return gates.exit_code();
 }
-
-// ---- google-benchmark microbenchmarks (run with --gbench) ------------------
-
-void BM_Dgemm(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const linalg::Matrix a = linalg::generate_system_matrix(1, n);
-  const linalg::Matrix b = linalg::generate_system_matrix(2, n);
-  linalg::Matrix c(n, n);
-  for (auto _ : state) {
-    linalg::dgemm(1.0, a.view(), b.view(), 0.0, c.view());
-    benchmark::DoNotOptimize(c.flat().data());
-  }
-  state.counters["flops"] = benchmark::Counter(
-      2.0 * static_cast<double>(n) * n * n,
-      benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_Dgemm)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_DgemmNaive(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const linalg::Matrix a = linalg::generate_system_matrix(1, n);
-  const linalg::Matrix b = linalg::generate_system_matrix(2, n);
-  linalg::Matrix c(n, n);
-  for (auto _ : state) {
-    linalg::dgemm_naive(1.0, a.view(), b.view(), 0.0, c.view());
-    benchmark::DoNotOptimize(c.flat().data());
-  }
-  state.counters["flops"] = benchmark::Counter(
-      2.0 * static_cast<double>(n) * n * n,
-      benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_DgemmNaive)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_Sgemm(benchmark::State& state) {
-  // The fp32 engine the mixed-precision GEPP factorization runs on: same
-  // blocked path as dgemm with twice the SIMD lanes per vector register.
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const linalg::BasicMatrix<float> a = random_matrix<float>(n, n, 11);
-  const linalg::BasicMatrix<float> b = random_matrix<float>(n, n, 12);
-  linalg::BasicMatrix<float> c(n, n);
-  for (auto _ : state) {
-    linalg::gemm<float>(1.0f, a.view(), b.view(), 0.0f, c.view());
-    benchmark::DoNotOptimize(c.flat().data());
-  }
-  state.counters["flops"] = benchmark::Counter(
-      2.0 * static_cast<double>(n) * n * n,
-      benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_Sgemm)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_StrsmLowerUnit(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  linalg::BasicMatrix<float> l = random_matrix<float>(n, n, 13);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < i; ++j) l(i, j) /= static_cast<float>(n);
-    for (std::size_t j = i + 1; j < n; ++j) l(i, j) = 0.0f;
-    l(i, i) = 1.0f;
-  }
-  const linalg::BasicMatrix<float> b = random_matrix<float>(n, n, 14);
-  for (auto _ : state) {
-    linalg::BasicMatrix<float> x = b;
-    linalg::trsm_lower_unit<float>(l.view(), x.view());
-    benchmark::DoNotOptimize(x.flat().data());
-  }
-}
-BENCHMARK(BM_StrsmLowerUnit)->Arg(128)->Arg(256);
-
-void BM_TrsmLowerUnit(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  linalg::Matrix l = linalg::generate_system_matrix(3, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) l(i, j) = 0.0;
-    l(i, i) = 1.0;
-  }
-  linalg::Matrix b = linalg::generate_system_matrix(4, n);
-  for (auto _ : state) {
-    linalg::Matrix x = b;
-    linalg::dtrsm_lower_unit(l.view(), x.view());
-    benchmark::DoNotOptimize(x.flat().data());
-  }
-}
-BENCHMARK(BM_TrsmLowerUnit)->Arg(128)->Arg(256);
-
-void BM_ImeLevelUpdate(benchmark::State& state) {
-  // One IMe level on an n x n table: the g-factor scaling plus the
-  // pivot-column subtraction over all equations.
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  linalg::Matrix m = linalg::generate_system_matrix(5, n);
-  std::vector<double> c(n, 1.01);
-  const std::size_t l = n - 1;
-  for (auto _ : state) {
-    const double inv = 1.0 / m(l, l);
-    for (std::size_t j = 0; j < n - 1; ++j) {
-      const double g = m(l, j) * inv;
-      for (std::size_t r = 0; r <= l; ++r) m(r, j) -= g * c[r];
-    }
-    benchmark::DoNotOptimize(m.flat().data());
-  }
-  state.counters["flops"] = benchmark::Counter(
-      2.0 * static_cast<double>(n) * (n - 1),
-      benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_ImeLevelUpdate)->Arg(256)->Arg(512);
-
-void BM_SolveImeBlocked(benchmark::State& state) {
-  // The level-blocked variant: block size is the sweep parameter. Larger
-  // blocks trade rank-1 sweeps for rank-k updates (better cache reuse on
-  // tables that exceed cache).
-  const std::size_t n = 384;
-  const std::size_t kb = static_cast<std::size_t>(state.range(0));
-  const linalg::Matrix a = linalg::generate_system_matrix(8, n);
-  const std::vector<double> b = linalg::generate_rhs(8, n);
-  for (auto _ : state) {
-    auto x = solvers::solve_ime_blocked(a, b, kb);
-    benchmark::DoNotOptimize(x.data());
-  }
-}
-BENCHMARK(BM_SolveImeBlocked)->Arg(1)->Arg(8)->Arg(32)->Arg(96);
-
-void BM_SolveGepp(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const linalg::Matrix a = linalg::generate_system_matrix(6, n);
-  const std::vector<double> b = linalg::generate_rhs(6, n);
-  for (auto _ : state) {
-    auto x = solvers::solve_gepp(a, b);
-    benchmark::DoNotOptimize(x.data());
-  }
-}
-BENCHMARK(BM_SolveGepp)->Arg(128)->Arg(256);
-
-void BM_SolveIme(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const linalg::Matrix a = linalg::generate_system_matrix(6, n);
-  const std::vector<double> b = linalg::generate_rhs(6, n);
-  for (auto _ : state) {
-    auto x = solvers::solve_ime(a, b);
-    benchmark::DoNotOptimize(x.data());
-  }
-}
-BENCHMARK(BM_SolveIme)->Arg(128)->Arg(256);
-
-void BM_GenerateSystem(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    auto a = linalg::generate_system_matrix(7, n);
-    benchmark::DoNotOptimize(a.flat().data());
-  }
-}
-BENCHMARK(BM_GenerateSystem)->Arg(256);
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  bool check = false;
-  bool gbench = false;
-  std::string out_path = "BENCH_kernels.json";
-  std::vector<char*> passthrough = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    } else if (std::strcmp(argv[i], "--gbench") == 0) {
-      gbench = true;
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  if (gbench) {
-    int pass_argc = static_cast<int>(passthrough.size());
-    benchmark::Initialize(&pass_argc, passthrough.data());
-    if (benchmark::ReportUnrecognizedArguments(pass_argc,
-                                               passthrough.data())) {
-      return 1;
-    }
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-  }
-  // Harness mode takes no positional arguments; reject typos instead of
-  // silently running a different sweep than the user asked for.
-  if (passthrough.size() > 1) {
-    std::fprintf(stderr,
-                 "error: unknown argument '%s' (expected --smoke --check "
-                 "--out=PATH --gbench)\n",
-                 passthrough[1]);
-    return 2;
-  }
-  return run_harness(smoke, check, out_path);
+  const CliArgs args =
+      bench::parse_flags(argc, argv, {"smoke", "check", "out"});
+  return run_harness(args.get_bool("smoke", false),
+                     args.get_bool("check", false),
+                     args.get("out", "BENCH_kernels.json"));
 }

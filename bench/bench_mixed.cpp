@@ -33,13 +33,12 @@
 //                     >50% over the checked-in smoke baseline
 //   --out=PATH        JSON output path (default BENCH_mixed.json)
 //   --baseline=PATH   checked-in BENCH_mixed_smoke.json to regress against
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
+
+#include "harness.hpp"
 
 #include "hwmodel/machine.hpp"
 #include "monitor/campaign.hpp"
@@ -101,40 +100,29 @@ SizeResult run_size(std::size_t n, int ranks) {
   return r;
 }
 
-std::string fmt(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return buf;
-}
-
-bool write_json(const std::string& path, bool smoke,
-                const std::vector<SizeResult>& results) {
-  std::ofstream out(path);
-  out << "{\n"
-      << "  \"schema\": \"powerlin-bench-mixed/v1\",\n"
-      << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n"
-      << "  \"sizes\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const SizeResult& r = results[i];
-    out << "    {\"n\": " << r.n << ", \"ranks\": " << r.ranks
-        << ", \"fp64_s\": " << fmt(r.fp64_s)
-        << ", \"mixed_s\": " << fmt(r.mixed_s)
-        << ", \"speedup\": " << fmt(r.speedup)
-        << ", \"fp64_j\": " << fmt(r.fp64_j)
-        << ", \"mixed_j\": " << fmt(r.mixed_j)
-        << ", \"energy_ratio\": " << fmt(r.energy_ratio)
-        << ", \"fp64_residual\": " << fmt(r.fp64_residual)
-        << ", \"mixed_residual\": " << fmt(r.mixed_residual)
-        << ", \"residual_ratio\": " << fmt(r.residual_ratio)
-        << ", \"refine_iters\": " << r.refine_iters
-        << ", \"fell_back\": " << (r.fell_back ? "true" : "false") << "}"
-        << (i + 1 < results.size() ? "," : "") << "\n";
-  }
+json::Value make_report(bool smoke, const std::vector<SizeResult>& results) {
+  json::Value report = bench::new_report("powerlin-bench-mixed/v1", smoke);
+  json::Array sizes;
   double worst_ratio = 0.0;
   double min_speedup = 0.0;
   double min_energy_ratio = 0.0;
   for (const SizeResult& r : results) {
-    if (r.residual_ratio > worst_ratio) worst_ratio = r.residual_ratio;
+    json::Value row = json::make_object();
+    row.set("n", r.n);
+    row.set("ranks", r.ranks);
+    row.set("fp64_s", r.fp64_s);
+    row.set("mixed_s", r.mixed_s);
+    row.set("speedup", r.speedup);
+    row.set("fp64_j", r.fp64_j);
+    row.set("mixed_j", r.mixed_j);
+    row.set("energy_ratio", r.energy_ratio);
+    row.set("fp64_residual", r.fp64_residual);
+    row.set("mixed_residual", r.mixed_residual);
+    row.set("residual_ratio", r.residual_ratio);
+    row.set("refine_iters", r.refine_iters);
+    row.set("fell_back", r.fell_back);
+    sizes.push_back(std::move(row));
+    worst_ratio = std::max(worst_ratio, r.residual_ratio);
     if (min_speedup == 0.0 || r.speedup < min_speedup) {
       min_speedup = r.speedup;
     }
@@ -142,52 +130,22 @@ bool write_json(const std::string& path, bool smoke,
       min_energy_ratio = r.energy_ratio;
     }
   }
-  out << "  ],\n"
-      << "  \"min_speedup\": " << fmt(min_speedup) << ",\n"
-      << "  \"min_energy_ratio\": " << fmt(min_energy_ratio) << ",\n"
-      << "  \"worst_residual_ratio\": " << fmt(worst_ratio) << "\n"
-      << "}\n";
-  return static_cast<bool>(out.flush());
-}
-
-/// Pulls one flat "key": <number> field out of a previous report (same
-/// no-parser shortcut as bench_scale: we wrote the file ourselves).
-double baseline_field(const std::string& path, const std::string& name) {
-  std::ifstream in(path);
-  if (!in) return -1.0;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-  const std::string key = "\"" + name + "\":";
-  const std::size_t at = text.find(key);
-  if (at == std::string::npos) return -1.0;
-  return std::strtod(text.c_str() + at + key.size(), nullptr);
+  report.set("sizes", std::move(sizes));
+  report.set("min_speedup", min_speedup);
+  report.set("min_energy_ratio", min_energy_ratio);
+  report.set("worst_residual_ratio", worst_ratio);
+  return report;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  bool check = false;
-  std::string out_path = "BENCH_mixed.json";
-  std::string baseline_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    } else if (std::strncmp(argv[i], "--baseline=", 11) == 0) {
-      baseline_path = argv[i] + 11;
-    } else {
-      std::fprintf(stderr,
-                   "error: unknown argument '%s' (expected --smoke --check "
-                   "--out=PATH --baseline=PATH)\n",
-                   argv[i]);
-      return 2;
-    }
-  }
+  const CliArgs args =
+      bench::parse_flags(argc, argv, {"smoke", "check", "out", "baseline"});
+  const bool smoke = args.get_bool("smoke", false);
+  const bool check = args.get_bool("check", false);
+  const std::string out_path = args.get("out", "BENCH_mixed.json");
+  const std::string baseline_path = args.get("baseline", "");
 
   const std::vector<std::size_t> sizes =
       smoke ? std::vector<std::size_t>{512, 768}
@@ -209,71 +167,35 @@ int main(int argc, char** argv) {
     results.push_back(r);
   }
 
-  if (!write_json(out_path, smoke, results)) {
-    std::fprintf(stderr, "FAIL: could not write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", out_path.c_str());
+  const json::Value report = make_report(smoke, results);
+  bench::Gates gates;
+  bench::write_report(out_path, report, gates);
 
   if (check) {
     const double min_speedup = smoke ? 1.2 : 1.5;
     const double min_energy_ratio = smoke ? 1.0 : 1.4;
-    bool ok = true;
     for (const SizeResult& r : results) {
-      if (r.fell_back) {
-        std::fprintf(stderr, "FAIL: n=%zu fell back to fp64\n", r.n);
-        ok = false;
-      }
-      if (r.residual_ratio > 10.0) {
-        std::fprintf(stderr,
-                     "FAIL: n=%zu mixed residual %.3g is %.1fx the fp64 "
-                     "baseline (10x bound)\n",
-                     r.n, r.mixed_residual, r.residual_ratio);
-        ok = false;
-      }
-      if (r.speedup < min_speedup) {
-        std::fprintf(stderr,
-                     "FAIL: n=%zu speedup %.2fx below the %.1fx floor\n",
-                     r.n, r.speedup, min_speedup);
-        ok = false;
-      }
-      if (r.energy_ratio < min_energy_ratio) {
-        std::fprintf(stderr,
-                     "FAIL: n=%zu energy ratio %.2fx below the %.1fx "
-                     "floor\n",
-                     r.n, r.energy_ratio, min_energy_ratio);
-        ok = false;
-      }
+      const std::string at = "n=" + std::to_string(r.n);
+      gates.record(at + "-no-fallback", !r.fell_back, "fell back to fp64");
+      gates.record(at + "-residual<=10x", r.residual_ratio <= 10.0,
+                   bench::describe("mixed residual ", r.mixed_residual, " is ",
+                                   r.residual_ratio, "x the fp64 baseline"));
+      gates.record(at + "-speedup", r.speedup >= min_speedup,
+                   bench::describe(r.speedup, "x below the ", min_speedup,
+                                   "x floor"));
+      gates.record(at + "-energy-ratio", r.energy_ratio >= min_energy_ratio,
+                   bench::describe(r.energy_ratio, "x below the ",
+                                   min_energy_ratio, "x floor"));
     }
     if (!baseline_path.empty()) {
-      const double base_ratio =
-          baseline_field(baseline_path, "worst_residual_ratio");
-      if (base_ratio < 0.0) {
-        std::fprintf(stderr, "FAIL: no worst_residual_ratio in %s\n",
-                     baseline_path.c_str());
-        ok = false;
-      } else {
-        double worst = 0.0;
-        for (const SizeResult& r : results) {
-          if (r.residual_ratio > worst) worst = r.residual_ratio;
-        }
-        // Allow headroom for host rounding drift; a real accuracy
-        // regression (refinement converging to a worse defect) blows
-        // straight through 1.5x.
-        if (worst > 1.5 * base_ratio) {
-          std::fprintf(stderr,
-                       "FAIL: worst residual ratio %.3g regresses >50%% "
-                       "over the baseline %.3g\n",
-                       worst, base_ratio);
-          ok = false;
-        } else {
-          std::printf("check ok: worst residual ratio %.3g (baseline "
-                      "%.3g)\n",
-                      worst, base_ratio);
-        }
-      }
+      // Allow headroom for host rounding drift; a real accuracy regression
+      // (refinement converging to a worse defect) blows straight through
+      // 1.5x.
+      bench::Baseline baseline(baseline_path, gates);
+      baseline.compare("worst_residual_ratio",
+                       report.at("worst_residual_ratio").as_number(),
+                       bench::at_most(0.5));
     }
-    if (!ok) return 1;
   }
-  return 0;
+  return gates.exit_code();
 }

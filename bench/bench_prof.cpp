@@ -19,15 +19,13 @@
 //   --smoke     smaller scales (CI smoke mode)
 //   --out=PATH  JSON output path (default BENCH_prof.json)
 //   --check     verify off-vs-on bit-identical simulated outputs
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
+#include <iomanip>
 #include <string>
 #include <vector>
 
-#include "hwmodel/placement.hpp"
+#include "harness.hpp"
+
 #include "prof/recorder.hpp"
 #include "solvers/gepp/pdgesv.hpp"
 #include "xmpi/runtime.hpp"
@@ -35,16 +33,6 @@
 namespace {
 
 using namespace plin;
-
-xmpi::RunConfig base_config(int ranks) {
-  constexpr int kCoresPerSocket = 8;
-  const int nodes = (ranks + 2 * kCoresPerSocket - 1) / (2 * kCoresPerSocket);
-  xmpi::RunConfig config;
-  config.machine = hw::mini_cluster(std::max(nodes, 1), kCoresPerSocket);
-  config.placement =
-      hw::make_placement(ranks, hw::LoadLayout::kFullLoad, config.machine);
-  return config;
-}
 
 /// The bench_xmpi acceptance workload: collective-dense, so every hop
 /// crosses the runtime hooks the recorder instruments.
@@ -55,26 +43,6 @@ void spawn_collective(xmpi::Comm& comm) {
     comm.bcast_value(value, /*root=*/0);
     (void)comm.allreduce_value(1.0, xmpi::ReduceOp::kSum);
   }
-}
-
-template <typename F>
-double seconds_of(F&& body) {
-  const auto t0 = std::chrono::steady_clock::now();
-  body();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
-/// Best-of-N wall-clock (one untimed warmup; fewer reps for slow cases).
-template <typename F>
-double best_seconds(F&& body) {
-  const double first = seconds_of(body);
-  int reps = 3;
-  if (first > 2.0) reps = 1;
-  if (first < 0.02) reps = 6;
-  double best = first;
-  for (int r = 0; r < reps; ++r) best = std::min(best, seconds_of(body));
-  return best;
 }
 
 struct ProbeResult {
@@ -100,52 +68,22 @@ ProbeResult measure(const char* name, int ranks, Body&& body) {
   result.workload = name;
   result.ranks = ranks;
 
-  xmpi::RunConfig config = base_config(ranks);
+  xmpi::RunConfig config = bench::full_load_config(ranks);
   config.trace = false;
-  result.off_s = best_seconds([&] {
+  result.off_s = bench::best_seconds([&] {
     const xmpi::RunResult run = xmpi::Runtime::run(config, body);
     result.off_duration = run.duration_s;
     result.off_energy = run.energy.total_j();
   });
 
   config.trace = true;
-  result.on_s = best_seconds([&] {
+  result.on_s = bench::best_seconds([&] {
     const xmpi::RunResult run = xmpi::Runtime::run(config, body);
     result.on_duration = run.duration_s;
     result.on_energy = run.energy.total_j();
     result.trace_present = run.trace != nullptr;
   });
   return result;
-}
-
-std::string fmt(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return buf;
-}
-
-bool write_json(const std::string& path, bool smoke,
-                const std::vector<ProbeResult>& results) {
-  std::ofstream out(path);
-  out << "{\n"
-      << "  \"schema\": \"powerlin-bench-prof/v1\",\n"
-      << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n"
-      << "  \"compiled_in\": " << (prof::kCompiledIn ? "true" : "false")
-      << ",\n"
-      // When compiled_in is false the binary was built -DPLIN_PROF=OFF and
-      // "off_s" measures the fully compiled-out hooks; "on_s" then measures
-      // the runtime toggle hitting empty stubs.
-      << "  \"results\": [\n";
-  bool first = true;
-  for (const ProbeResult& r : results) {
-    if (!first) out << ",\n";
-    first = false;
-    out << "    {\"workload\": \"" << r.workload << "\", \"ranks\": "
-        << r.ranks << ", \"off_s\": " << fmt(r.off_s) << ", \"on_s\": "
-        << fmt(r.on_s) << ", \"overhead\": " << fmt(r.overhead()) << "}";
-  }
-  out << "\n  ]\n}\n";
-  return static_cast<bool>(out.flush());
 }
 
 int run_harness(bool smoke, bool check, const std::string& out_path) {
@@ -173,53 +111,49 @@ int run_harness(bool smoke, bool check, const std::string& out_path) {
                 r.ranks, r.off_s, r.on_s, 100.0 * r.overhead());
   }
 
-  if (!write_json(out_path, smoke, results)) {
-    std::fprintf(stderr, "FAIL: could not write %s\n", out_path.c_str());
-    return 1;
+  json::Value report = bench::new_report("powerlin-bench-prof/v1", smoke);
+  // When compiled_in is false the binary was built -DPLIN_PROF=OFF and
+  // "off_s" measures the fully compiled-out hooks; "on_s" then measures
+  // the runtime toggle hitting empty stubs.
+  report.set("compiled_in", prof::kCompiledIn);
+  json::Array rows;
+  for (const ProbeResult& r : results) {
+    json::Value row = json::make_object();
+    row.set("workload", r.workload);
+    row.set("ranks", r.ranks);
+    row.set("off_s", r.off_s);
+    row.set("on_s", r.on_s);
+    row.set("overhead", r.overhead());
+    rows.push_back(std::move(row));
   }
-  std::printf("\nwrote %s\n", out_path.c_str());
+  report.set("results", std::move(rows));
+  bench::Gates gates;
+  bench::write_report(out_path, report, gates);
 
   if (check) {
     for (const ProbeResult& r : results) {
-      if (r.off_duration != r.on_duration || r.off_energy != r.on_energy) {
-        std::fprintf(stderr,
-                     "FAIL: %s simulated outputs differ with tracing on "
-                     "(duration %.17g vs %.17g, energy %.17g vs %.17g)\n",
-                     r.workload.c_str(), r.off_duration, r.on_duration,
-                     r.off_energy, r.on_energy);
-        return 1;
-      }
-      if (prof::kCompiledIn && !r.trace_present) {
-        std::fprintf(stderr, "FAIL: %s traced run produced no trace\n",
-                     r.workload.c_str());
-        return 1;
+      gates.record(r.workload + "-off-on-identical",
+                   r.off_duration == r.on_duration &&
+                       r.off_energy == r.on_energy,
+                   bench::describe(std::setprecision(17), "duration ",
+                                   r.off_duration, " vs ", r.on_duration,
+                                   ", energy ", r.off_energy, " vs ",
+                                   r.on_energy));
+      if (prof::kCompiledIn) {
+        gates.record(r.workload + "-trace-present", r.trace_present,
+                     "traced run produced no trace");
       }
     }
-    std::printf("check passed: off-vs-on simulated outputs bit-identical\n");
   }
-  return 0;
+  return gates.exit_code();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  bool check = false;
-  std::string out_path = "BENCH_prof.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    } else {
-      std::fprintf(stderr,
-                   "error: unknown argument '%s' (expected --smoke --check "
-                   "--out=PATH)\n",
-                   argv[i]);
-      return 2;
-    }
-  }
-  return run_harness(smoke, check, out_path);
+  const CliArgs args =
+      bench::parse_flags(argc, argv, {"smoke", "check", "out"});
+  return run_harness(args.get_bool("smoke", false),
+                     args.get_bool("check", false),
+                     args.get("out", "BENCH_prof.json"));
 }

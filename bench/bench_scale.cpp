@@ -30,20 +30,14 @@
 //   --baseline=PATH   checked-in BENCH_scale.json to regress against
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "rss.hpp"
 
-#include "hwmodel/placement.hpp"
 #include "xmpi/runtime.hpp"
 #include "xmpi/scheduler.hpp"
 #include "xmpi/stackpool.hpp"
@@ -53,27 +47,13 @@ namespace {
 
 using namespace plin;
 
-/// Same mini-cluster shape as bench_xmpi: fully loaded 2x8-core nodes,
-/// just enough of them to hold the rank count (100000 ranks => 6250 nodes).
+/// Same mini-cluster shape as bench_xmpi (100000 ranks => 6250 nodes).
 xmpi::RunConfig scale_config(int ranks) {
-  constexpr int kCoresPerSocket = 8;
-  const int nodes = (ranks + 2 * kCoresPerSocket - 1) / (2 * kCoresPerSocket);
-  xmpi::RunConfig config;
-  config.machine = hw::mini_cluster(std::max(nodes, 1), kCoresPerSocket);
-  config.placement =
-      hw::make_placement(ranks, hw::LoadLayout::kFullLoad, config.machine);
+  xmpi::RunConfig config = bench::full_load_config(ranks);
   // The whole point of this harness: the scalable schedule family at a
   // non-power-of-two rank count.
   config.transport.collectives = xmpi::CollectiveMode::kScalable;
   return config;
-}
-
-template <typename F>
-double seconds_of(F&& body) {
-  const auto t0 = std::chrono::steady_clock::now();
-  body();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
 }
 
 struct Report {
@@ -159,92 +139,52 @@ void allgather_body(xmpi::Comm& comm, std::atomic<int>& failures) {
   if (!ok) failures.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::string fmt(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return buf;
-}
-
-bool write_json(const std::string& path, const Report& r) {
-  std::ofstream out(path);
-  out << "{\n"
-      << "  \"schema\": \"powerlin-bench-scale/v1\",\n"
-      << "  \"mode\": \"" << (r.smoke ? "smoke" : "full") << "\",\n"
-      << "  \"ranks\": " << r.ranks << ",\n"
-      << "  \"rank_state_total_bytes\": " << r.rank_state_total_bytes
-      << ",\n"
-      << "  \"bytes_per_rank_state\": " << fmt(r.bytes_per_rank_state)
-      << ",\n"
-      << "  \"spawn_s\": " << fmt(r.spawn_s) << ",\n"
-      << "  \"spawn_ranks_per_s\": " << fmt(r.spawn_ranks_per_s) << ",\n"
-      << "  \"allreduce_s\": " << fmt(r.allreduce_s) << ",\n"
-      << "  \"allreduce_peak_rss_bytes\": " << r.allreduce_peak_rss_bytes
-      << ",\n"
-      << "  \"allgather_s\": " << fmt(r.allgather_s) << ",\n"
-      << "  \"allgather_peak_rss_bytes\": " << r.allgather_peak_rss_bytes
-      << ",\n"
-      << "  \"peer_entries_max\": " << r.peer_entries_max << ",\n"
-      << "  \"peer_entries_total\": " << r.peer_entries_total << ",\n"
-      << "  \"stackpool\": {\"slabs\": " << r.stacks.slabs
-      << ", \"mapped_bytes\": " << r.stacks.mapped_bytes
-      << ", \"served\": " << r.stacks.served
-      << ", \"reuse_hits\": " << r.stacks.reuse_hits
-      << ", \"peak_live\": " << r.stacks.peak_live << "}\n"
-      << "}\n";
-  return static_cast<bool>(out.flush());
-}
-
-/// Pulls "bytes_per_rank_state": <number> out of a previous report. A
-/// full JSON parser would be overkill for one flat field we wrote
-/// ourselves; returns a negative value when the file or field is missing.
-double baseline_bytes_per_rank(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return -1.0;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-  const std::string key = "\"bytes_per_rank_state\":";
-  const std::size_t at = text.find(key);
-  if (at == std::string::npos) return -1.0;
-  return std::strtod(text.c_str() + at + key.size(), nullptr);
+json::Value make_report(const Report& r) {
+  json::Value report = bench::new_report("powerlin-bench-scale/v1", r.smoke);
+  report.set("ranks", r.ranks);
+  report.set("rank_state_total_bytes", r.rank_state_total_bytes);
+  report.set("bytes_per_rank_state", r.bytes_per_rank_state);
+  report.set("spawn_s", r.spawn_s);
+  report.set("spawn_ranks_per_s", r.spawn_ranks_per_s);
+  report.set("allreduce_s", r.allreduce_s);
+  report.set("allreduce_peak_rss_bytes", r.allreduce_peak_rss_bytes);
+  report.set("allgather_s", r.allgather_s);
+  report.set("allgather_peak_rss_bytes", r.allgather_peak_rss_bytes);
+  report.set("peer_entries_max", r.peer_entries_max);
+  report.set("peer_entries_total", r.peer_entries_total);
+  json::Value stacks = json::make_object();
+  stacks.set("slabs", r.stacks.slabs);
+  stacks.set("mapped_bytes", r.stacks.mapped_bytes);
+  stacks.set("served", r.stacks.served);
+  stacks.set("reuse_hits", r.stacks.reuse_hits);
+  stacks.set("peak_live", r.stacks.peak_live);
+  report.set("stackpool", std::move(stacks));
+  return report;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  bool check = false;
-  int ranks_override = 0;
-  std::string out_path = "BENCH_scale.json";
-  std::string baseline_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else if (std::strncmp(argv[i], "--ranks=", 8) == 0) {
-      ranks_override = std::atoi(argv[i] + 8);
-      if (ranks_override < 2) {
-        std::fprintf(stderr, "error: --ranks must be >= 2\n");
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    } else if (std::strncmp(argv[i], "--baseline=", 11) == 0) {
-      baseline_path = argv[i] + 11;
-    } else {
-      std::fprintf(stderr,
-                   "error: unknown argument '%s' (expected --smoke "
-                   "--ranks=N --check --out=PATH --baseline=PATH)\n",
-                   argv[i]);
-      return 2;
-    }
+  const CliArgs args = bench::parse_flags(
+      argc, argv, {"smoke", "ranks", "check", "out", "baseline"});
+  const bool smoke = args.get_bool("smoke", false);
+  const bool check = args.get_bool("check", false);
+  const std::string out_path = args.get("out", "BENCH_scale.json");
+  const std::string baseline_path = args.get("baseline", "");
+
+  long ranks_flag = 0;  // a non-integer --ranks stays 0 and is refused
+  try {
+    ranks_flag = args.get_int("ranks", smoke ? 10000 : 100000);
+  } catch (const Error&) {
+  }
+  if (ranks_flag < 2 || ranks_flag > 1 << 30) {
+    std::fprintf(stderr, "error: --ranks must be an integer in [2, 2^30]\n");
+    return 2;
   }
 
   Report report;
   report.smoke = smoke;
-  report.ranks = ranks_override != 0 ? ranks_override : (smoke ? 10000
-                                                               : 100000);
+  report.ranks = static_cast<int>(ranks_flag);
   const int ranks = report.ranks;
   std::printf("bench_scale: %d ranks (%s)\n", ranks,
               smoke ? "smoke" : "full");
@@ -264,7 +204,7 @@ int main(int argc, char** argv) {
 
   // Phase 2: spawn throughput (empty bodies — stack lease + context setup
   // + dispatch + recycle per rank).
-  report.spawn_s = seconds_of([&] {
+  report.spawn_s = bench::seconds_of([&] {
     (void)xmpi::Runtime::run(config, [](xmpi::Comm&) {});
   });
   report.spawn_ranks_per_s = ranks / report.spawn_s;
@@ -276,7 +216,7 @@ int main(int argc, char** argv) {
   {
     bench::RssSampler sampler;
     xmpi::RunResult run;
-    report.allreduce_s = seconds_of([&] {
+    report.allreduce_s = bench::seconds_of([&] {
       run = xmpi::Runtime::run(config, [&failures](xmpi::Comm& comm) {
         allreduce_body(comm, failures);
       });
@@ -296,7 +236,7 @@ int main(int argc, char** argv) {
   {
     bench::RssSampler sampler;
     xmpi::RunResult run;
-    report.allgather_s = seconds_of([&] {
+    report.allgather_s = bench::seconds_of([&] {
       run = xmpi::Runtime::run(config, [&failures](xmpi::Comm& comm) {
         allgather_body(comm, failures);
       });
@@ -323,43 +263,23 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(report.stacks.reuse_hits),
               static_cast<unsigned long long>(report.stacks.peak_live));
 
-  if (failures.load() != 0) {
-    std::fprintf(stderr, "FAIL: %d ranks saw wrong collective results\n",
-                 failures.load());
-    return 1;
-  }
-
-  if (!write_json(out_path, report)) {
-    std::fprintf(stderr, "FAIL: could not write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", out_path.c_str());
+  bench::Gates gates;
+  gates.record("collectives-verified", failures.load() == 0,
+               bench::describe(failures.load(),
+                               " ranks saw wrong collective results"));
+  bench::write_report(out_path, make_report(report), gates);
 
   if (check) {
     constexpr double kMaxBytesPerRank = 4096.0;
-    if (report.bytes_per_rank_state > kMaxBytesPerRank) {
-      std::fprintf(stderr,
-                   "FAIL: %.1f bytes/rank exceeds the %.0f-byte budget\n",
-                   report.bytes_per_rank_state, kMaxBytesPerRank);
-      return 1;
-    }
+    gates.record("bytes-per-rank<=4096",
+                 report.bytes_per_rank_state <= kMaxBytesPerRank,
+                 bench::describe(report.bytes_per_rank_state,
+                                 " bytes/rank exceeds the budget"));
     if (!baseline_path.empty()) {
-      const double baseline = baseline_bytes_per_rank(baseline_path);
-      if (baseline <= 0.0) {
-        std::fprintf(stderr, "FAIL: no bytes_per_rank_state in %s\n",
-                     baseline_path.c_str());
-        return 1;
-      }
-      if (report.bytes_per_rank_state > 1.2 * baseline) {
-        std::fprintf(stderr,
-                     "FAIL: %.1f bytes/rank regresses >20%% over the "
-                     "baseline %.1f\n",
-                     report.bytes_per_rank_state, baseline);
-        return 1;
-      }
-      std::printf("check ok: %.1f bytes/rank (baseline %.1f)\n",
-                  report.bytes_per_rank_state, baseline);
+      bench::Baseline baseline(baseline_path, gates);
+      baseline.compare("bytes_per_rank_state", report.bytes_per_rank_state,
+                       bench::at_most(0.2));
     }
   }
-  return 0;
+  return gates.exit_code();
 }

@@ -35,7 +35,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -45,11 +44,12 @@
 #include <thread>
 #include <vector>
 
+#include "harness.hpp"
+
 #include "batch/store.hpp"
 #include "serve/client.hpp"
 #include "serve/engine.hpp"
 #include "serve/server.hpp"
-#include "support/cli.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
 #include "support/stopwatch.hpp"
@@ -142,10 +142,10 @@ const char* kTenants[3] = {"interactive", "batch", "background"};
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+  const CliArgs args = bench::parse_flags(
+      argc, argv, {"smoke", "check", "out", "baseline", "clients", "requests",
+                   "workers", "help"});
   try {
-    args.require_known({"smoke", "check", "out", "baseline", "clients",
-                        "requests", "workers", "help"});
     if (args.get_bool("help", false)) {
       std::cout << "bench_serve [--smoke] [--check] [--clients=N] "
                    "[--requests=N] [--workers=N] [--out=PATH] "
@@ -339,59 +339,42 @@ int main(int argc, char** argv) {
 
     json::Value load = json::make_object();
     load.set("wall_s", load_s);
-    load.set("requests", static_cast<double>(load_requests));
-    load.set("hot_requests", static_cast<double>(hot_requests));
-    load.set("unique_requests", static_cast<double>(unique_requests));
+    load.set("requests", load_requests);
+    load.set("hot_requests", hot_requests);
+    load.set("unique_requests", unique_requests);
     load.set("p50_ms", load_p50 * 1e3);
     load.set("p99_ms", load_p99 * 1e3);
     load.set("jobs_per_s", jobs_per_s);
     load.set("client_hit_ratio", client_hit_ratio);
 
-    json::Value root = json::make_object();
-    root.set("schema", "powerlin-bench-serve/v1");
-    root.set("mode", smoke ? "smoke" : "full");
-    root.set("clients", static_cast<double>(clients));
-    root.set("requests_per_client", static_cast<double>(requests_per_client));
-    root.set("workers", static_cast<double>(workers));
-    root.set("errors", static_cast<double>(errors));
+    json::Value root = bench::new_report("powerlin-bench-serve/v1", smoke);
+    root.set("clients", clients);
+    root.set("requests_per_client", requests_per_client);
+    root.set("workers", workers);
+    root.set("errors", errors);
     root.set("cold_p50_ms", cold_p50 * 1e3);
     root.set("cached_p50_ms", hot_p50 * 1e3);
     root.set("cache_speedup", cache_speedup);
     root.set("load", std::move(load));
     root.set("server", std::move(server_stats));
-    {
-      std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-      out << json::serialize(root) << "\n";
-    }
-    std::cout << "wrote " << out_path << "\n";
+    bench::Gates gates;
+    bench::write_report(out_path, root, gates);
 
-    if (!check) return 0;
-    bool pass = true;
-    auto gate = [&pass](const std::string& name, bool ok) {
-      std::cout << "check: " << name << "=" << (ok ? "pass" : "FAIL")
-                << "\n";
-      pass = pass && ok;
-    };
-    gate("no-errors", errors == 0);
-    gate("no-rejections", rejected == 0.0);
-    gate("clients>=1000", clients >= 1000);
-    gate("cache-speedup>=5x", cache_speedup >= 5.0);
-    if (!baseline_path.empty()) {
-      std::ifstream in(baseline_path, std::ios::binary);
-      std::ostringstream text;
-      text << in.rdbuf();
-      const json::Value baseline = json::parse(text.str());
-      const json::Value& base_load = baseline.at("load");
-      // The request mix is seeded, so these two are exactly reproducible
-      // (latency numbers are not, and are deliberately not gated).
-      gate("baseline-request-count",
-           base_load.at("requests").as_number() ==
-               static_cast<double>(load_requests));
-      gate("baseline-hit-ratio",
-           std::abs(base_load.at("client_hit_ratio").as_number() -
-                    client_hit_ratio) < 1e-12);
+    if (check) {
+      gates.record("no-errors", errors == 0);
+      gates.record("no-rejections", rejected == 0.0);
+      gates.record("clients>=1000", clients >= 1000);
+      gates.record("cache-speedup>=5x", cache_speedup >= 5.0);
+      if (!baseline_path.empty()) {
+        // The request mix is seeded, so these two are exactly reproducible
+        // (latency numbers are not, and are deliberately not gated).
+        bench::Baseline baseline(baseline_path, gates);
+        baseline.compare("load.requests", load_requests, bench::kExact);
+        baseline.compare("load.client_hit_ratio", client_hit_ratio,
+                         bench::within(1e-12));
+      }
     }
-    return pass ? 0 : 1;
+    return gates.exit_code();
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

@@ -33,14 +33,11 @@
 //                     smoke baseline (both are fully deterministic)
 //   --out=PATH        JSON output path (default BENCH_sparse.json)
 //   --baseline=PATH   checked-in BENCH_sparse_smoke.json to compare against
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
+
+#include "harness.hpp"
 
 #include "hwmodel/machine.hpp"
 #include "hwmodel/placement.hpp"
@@ -161,75 +158,15 @@ bool check_determinism(std::size_t n, int ranks, std::string* detail) {
   return true;
 }
 
-std::string fmt(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return buf;
-}
-
-bool write_json(const std::string& path, bool smoke,
-                const std::vector<FamilyResult>& results,
-                double bytes_per_flop, double dominance_ratio,
-                bool bit_identical) {
-  std::ofstream out(path);
-  out << "{\n"
-      << "  \"schema\": \"powerlin-bench-sparse/v1\",\n"
-      << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n";
-  for (const FamilyResult& r : results) {
-    const std::string k = sparse::kind_token(r.kind);
-    out << "  \"" << k << "_n\": " << r.n << ",\n"
-        << "  \"" << k << "_ranks\": " << r.ranks << ",\n"
-        << "  \"" << k << "_s\": " << fmt(r.duration_s) << ",\n"
-        << "  \"" << k << "_j\": " << fmt(r.energy_j) << ",\n"
-        << "  \"" << k << "_residual\": " << fmt(r.residual) << ",\n"
-        << "  \"" << k << "_iters\": " << r.iters << ",\n"
-        << "  \"" << k << "_nnz\": " << r.nnz << ",\n";
-  }
-  out << "  \"bytes_per_flop\": " << fmt(bytes_per_flop) << ",\n"
-      << "  \"dominance_ratio\": " << fmt(dominance_ratio) << ",\n"
-      << "  \"bit_identical\": " << (bit_identical ? "true" : "false")
-      << "\n}\n";
-  return static_cast<bool>(out.flush());
-}
-
-/// Pulls one flat "key": <number> field out of a previous report (same
-/// no-parser shortcut as bench_mixed: we wrote the file ourselves).
-double baseline_field(const std::string& path, const std::string& name) {
-  std::ifstream in(path);
-  if (!in) return -1.0;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-  const std::string key = "\"" + name + "\":";
-  const std::size_t at = text.find(key);
-  if (at == std::string::npos) return -1.0;
-  return std::strtod(text.c_str() + at + key.size(), nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  bool check = false;
-  std::string out_path = "BENCH_sparse.json";
-  std::string baseline_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    } else if (std::strncmp(argv[i], "--baseline=", 11) == 0) {
-      baseline_path = argv[i] + 11;
-    } else {
-      std::fprintf(stderr,
-                   "error: unknown argument '%s' (expected --smoke --check "
-                   "--out=PATH --baseline=PATH)\n",
-                   argv[i]);
-      return 2;
-    }
-  }
+  const CliArgs args =
+      bench::parse_flags(argc, argv, {"smoke", "check", "out", "baseline"});
+  const bool smoke = args.get_bool("smoke", false);
+  const bool check = args.get_bool("check", false);
+  const std::string out_path = args.get("out", "BENCH_sparse.json");
+  const std::string baseline_path = args.get("baseline", "");
 
   const std::size_t n = smoke ? 65536 : 262144;
   constexpr int kRanks = 8;
@@ -270,63 +207,44 @@ int main(int argc, char** argv) {
               bit_identical ? "bit-identical across workers / collectives"
                             : detail.c_str());
 
-  if (!write_json(out_path, smoke, results, bytes_per_flop, dominance_ratio,
-                  bit_identical)) {
-    std::fprintf(stderr, "FAIL: could not write %s\n", out_path.c_str());
-    return 1;
+  json::Value report = bench::new_report("powerlin-bench-sparse/v1", smoke);
+  for (const FamilyResult& r : results) {
+    const std::string k = sparse::kind_token(r.kind);
+    report.set(k + "_n", r.n);
+    report.set(k + "_ranks", r.ranks);
+    report.set(k + "_s", r.duration_s);
+    report.set(k + "_j", r.energy_j);
+    report.set(k + "_residual", r.residual);
+    report.set(k + "_iters", r.iters);
+    report.set(k + "_nnz", r.nnz);
   }
-  std::printf("wrote %s\n", out_path.c_str());
+  report.set("bytes_per_flop", bytes_per_flop);
+  report.set("dominance_ratio", dominance_ratio);
+  report.set("bit_identical", bit_identical);
+  bench::Gates gates;
+  bench::write_report(out_path, report, gates);
 
   if (check) {
-    bool ok = true;
-    if (!bit_identical) {
-      std::fprintf(stderr, "FAIL: %s\n", detail.c_str());
-      ok = false;
-    }
-    if (dominance_ratio < 1.0) {
-      std::fprintf(stderr,
-                   "FAIL: SpMV flop term dominates (ratio %.2f < 1): the "
-                   "family is not memory-bound\n",
-                   dominance_ratio);
-      ok = false;
-    }
+    gates.record("bit-identical", bit_identical, detail);
+    gates.record("memory-bound", dominance_ratio >= 1.0,
+                 bench::describe("SpMV flop term dominates (ratio ",
+                                 dominance_ratio, " < 1)"));
     for (const FamilyResult& r : results) {
-      if (r.residual > 1e-10) {
-        std::fprintf(stderr, "FAIL: %s residual %.3g above the campaign "
-                             "gate 1e-10\n",
-                     sparse::kind_token(r.kind), r.residual);
-        ok = false;
-      }
+      gates.record(std::string(sparse::kind_token(r.kind)) + "-residual",
+                   r.residual <= 1e-10,
+                   bench::describe(r.residual,
+                                   " above the campaign gate 1e-10"));
     }
     if (!baseline_path.empty()) {
+      // Both are deterministic: iterations exact, duration to the %.6g
+      // precision the baseline file stores.
+      bench::Baseline baseline(baseline_path, gates);
       for (const FamilyResult& r : results) {
         const std::string k = sparse::kind_token(r.kind);
-        const double base_iters = baseline_field(baseline_path, k + "_iters");
-        const double base_s = baseline_field(baseline_path, k + "_s");
-        if (base_iters < 0.0 || base_s < 0.0) {
-          std::fprintf(stderr, "FAIL: no %s fields in %s\n", k.c_str(),
-                       baseline_path.c_str());
-          ok = false;
-          continue;
-        }
-        // Both are deterministic: iterations exact, duration to the %.6g
-        // precision the baseline file stores.
-        if (static_cast<int>(base_iters) != r.iters) {
-          std::fprintf(stderr,
-                       "FAIL: %s iterations %d != baseline %d\n", k.c_str(),
-                       r.iters, static_cast<int>(base_iters));
-          ok = false;
-        }
-        if (std::fabs(r.duration_s - base_s) > 1e-5 * base_s) {
-          std::fprintf(stderr,
-                       "FAIL: %s duration %.6g s != baseline %.6g s\n",
-                       k.c_str(), r.duration_s, base_s);
-          ok = false;
-        }
+        baseline.compare(k + "_iters", r.iters, bench::kExact);
+        baseline.compare(k + "_s", r.duration_s, bench::within(1e-5));
       }
-      if (ok) std::printf("check ok: matches %s\n", baseline_path.c_str());
     }
-    if (!ok) return 1;
   }
-  return 0;
+  return gates.exit_code();
 }

@@ -3,18 +3,12 @@
 //
 // The packed GEMM pipeline is parameterized the BLIS way: three cache block
 // sizes (MC x KC panels of A, KC x NC panels of B) and an MR x NR register
-// tile computed by an unrolled micro-kernel. All five are runtime knobs so
-// machines can be tuned without recompiling; the register tile is snapped to
-// the nearest compiled micro-kernel variant.
+// tile computed by an unrolled micro-kernel; the register tile is snapped to
+// the nearest compiled micro-kernel variant. Every run uses the compiled-in
+// defaults; set_kernel_config is the hook through which the tests drive
+// other tiles and the naive reference path.
 //
-// Environment overrides (read once, on first use):
-//   PLIN_GEMM_MC / PLIN_GEMM_KC / PLIN_GEMM_NC   cache block sizes
-//   PLIN_GEMM_MR / PLIN_GEMM_NR                  register tile
-//   PLIN_TRSM_NB                                 TRSM diagonal block size
-//   PLIN_GER_NB                                  dger column tile
-//   PLIN_KERNEL_PATH=naive|blocked               force a kernel path
-//
-// None of these knobs affect the flop counts the solvers charge to xmpi's
+// None of these fields affect the flop counts the solvers charge to xmpi's
 // virtual clock: simulated durations/energy are invariant under the host
 // kernel path (the engine only changes host wall-clock).
 #pragma once
@@ -38,11 +32,8 @@ struct KernelConfig {
   // When false every kernel routes to the retained naive reference path.
   bool blocked = true;
 
-  /// Compiled-in defaults (ISA-appropriate register tile, no env).
+  /// Compiled-in defaults (ISA-appropriate register tile).
   static KernelConfig defaults();
-
-  /// defaults() overridden by the PLIN_* environment variables.
-  static KernelConfig from_env();
 
   /// Copy with every field clamped/snapped to values the engine supports:
   /// (mr, nr) becomes a compiled micro-kernel pair, mc is rounded up to a
@@ -50,15 +41,15 @@ struct KernelConfig {
   KernelConfig normalized() const;
 };
 
-/// The config every kernel call reads (initialized from_env on first use).
+/// The config every kernel call reads (defaults().normalized() until set).
 const KernelConfig& active_kernel_config();
 
-/// Install a new active config (normalized first). Used by tuners, the
-/// bench harness and the tests; not thread-safe by design (the engine is
-/// single-threaded like the rest of the simulator).
+/// Install a new active config (normalized first). A test hook; not
+/// thread-safe by design (the engine is single-threaded like the rest of
+/// the simulator).
 void set_kernel_config(const KernelConfig& config);
 
-/// Drop back to the environment-derived config.
+/// Drop back to defaults().normalized().
 void reset_kernel_config();
 
 }  // namespace plin::linalg

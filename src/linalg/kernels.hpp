@@ -8,7 +8,7 @@
 //     small diagonal blocks and push the bulk through GEMM; dger tiles its
 //     columns. Block sizes come from KernelConfig (kernel_config.hpp).
 //   * the retained naive reference path (`*_naive`), used for testing, for
-//     the perf-regression harness, and via PLIN_KERNEL_PATH=naive.
+//     the perf-regression harness, and via KernelConfig::blocked = false.
 //
 // Each kernel documents its flop count; the distributed solvers charge
 // those counts to xmpi's virtual clock via Comm::compute. Charged flops are

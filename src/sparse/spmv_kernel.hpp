@@ -22,11 +22,11 @@
 //            (per-function target attributes, no global -march), so the
 //            same binary runs everywhere.
 //
-// Selection follows the PR 5 opt-in precedent (linalg/kernel_config.hpp):
-// compiled-in default, PLIN_SPARSE_KERNEL={scalar,simd} environment
-// override read once, and set/reset hooks for benches and tests.
+// Selection: compiled-in default, a PLIN_SPARSE_KERNEL={scalar,simd}
+// environment override read once, and set/reset hooks for benches and
+// tests. The dense kernels (linalg/kernel_config.hpp) keep only the hooks.
 //
-// One nuance differs from the dense kernel knobs: the two kernels bracket
+// One nuance differs from the dense kernel config: the two kernels bracket
 // per-row sums differently, so switching kernels legitimately moves
 // solution bits (and hence the CG trajectory). The determinism contract is
 // therefore *per kernel*: at any fixed PLIN_SPARSE_KERNEL setting, results

@@ -12,8 +12,9 @@ namespace plin {
 
 class CliArgs {
  public:
-  /// Parses argv. Unknown flags are kept (benches forward the rest to
-  /// google-benchmark); positional arguments are collected in order.
+  /// Parses argv. Every flag is kept, known or not (require_known
+  /// rejects the unknown ones); positional arguments are collected in
+  /// order.
   CliArgs(int argc, const char* const* argv);
 
   bool has(const std::string& name) const;
@@ -26,9 +27,8 @@ class CliArgs {
   const std::string& program() const { return program_; }
 
   /// Rejects flags outside `known` with an InvalidArgument that lists every
-  /// offender and suggests --help. Tools call this so a mistyped flag fails
-  /// loudly; benches skip it and keep forwarding unknown flags to
-  /// google-benchmark.
+  /// offender and suggests --help. Tools and the perf harnesses
+  /// (bench/harness.hpp) call this so a mistyped flag fails loudly.
   void require_known(std::initializer_list<std::string_view> known) const;
 
  private:
