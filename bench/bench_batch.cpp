@@ -23,7 +23,7 @@
 
 #include "harness.hpp"
 
-#include "batch/campaign.hpp"
+#include "serve/campaign.hpp"
 #include "support/error.hpp"
 #include "support/stopwatch.hpp"
 #include "support/table.hpp"
@@ -57,17 +57,17 @@ struct Case {
 };
 
 Case run_case(const std::string& name, const batch::CampaignManifest& manifest,
-              batch::CampaignOptions options) {
+              serve::CampaignOptions options) {
   Case result;
   result.name = name;
   Stopwatch wall;
-  const batch::CampaignResult campaign =
-      batch::run_campaign(manifest, options);
+  const serve::CampaignResult campaign =
+      serve::run_campaign(manifest, options);
   result.host_s = wall.elapsed_s();
-  result.executed = campaign.outcome.executed;
-  result.cached = campaign.outcome.cached;
+  result.executed = campaign.executed;
+  result.cached = campaign.cached;
   result.report = read_file(campaign.csv_path);
-  if (!campaign.outcome.failures.empty()) {
+  if (!campaign.failures.empty()) {
     throw Error("bench_batch: campaign case '" + name + "' had failures");
   }
   return result;
@@ -97,17 +97,17 @@ int main(int argc, char** argv) {
 
   std::vector<Case> cases;
   try {
-    batch::CampaignOptions serial;
+    serve::CampaignOptions serial;
     serial.store_dir = scratch_dir("serial");
     serial.workers = 1;
     cases.push_back(run_case("fresh-1-worker", manifest, serial));
 
-    batch::CampaignOptions pooled;
+    serve::CampaignOptions pooled;
     pooled.store_dir = scratch_dir("pooled");
     pooled.workers = 4;
     cases.push_back(run_case("fresh-4-workers", manifest, pooled));
 
-    batch::CampaignOptions interrupted;
+    serve::CampaignOptions interrupted;
     interrupted.store_dir = scratch_dir("interrupted");
     interrupted.workers = 4;
     interrupted.max_jobs = manifest.job_count() / 2;

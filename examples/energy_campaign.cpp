@@ -8,7 +8,7 @@
 //   ./energy_campaign [--reps 2] [--store campaign_store] [--workers 2]
 #include <iostream>
 
-#include "batch/campaign.hpp"
+#include "serve/campaign.hpp"
 #include "support/cli.hpp"
 #include "support/error.hpp"
 #include "support/units.hpp"
@@ -50,17 +50,17 @@ int main(int argc, char** argv) {
   manifest.repetitions = static_cast<int>(args.get_int("reps", 2));
   manifest.workers = static_cast<int>(args.get_int("workers", 2));
 
-  batch::CampaignOptions options;
+  serve::CampaignOptions options;
   options.store_dir = args.get("store", "campaign_store");
 
   try {
-    const batch::CampaignResult result =
-        batch::run_campaign(manifest, options);
+    const serve::CampaignResult result =
+        serve::run_campaign(manifest, options);
 
     std::cout << "\nCampaign results (" << result.records.size()
               << " jobs x " << manifest.repetitions
-              << " repetitions, numeric tier; " << result.outcome.executed
-              << " executed now, " << result.outcome.cached
+              << " repetitions, numeric tier; " << result.executed
+              << " executed now, " << result.cached
               << " served from the store)\n\n";
     batch::print_report_table(std::cout, result.records);
     std::cout << "\nReports written to " << result.csv_path << " and "
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
               << format_energy(sca_j) << " ("
               << format_fixed(100.0 * (ime_j / sca_j - 1.0), 1)
               << "% more for IMe).\n";
-    return result.outcome.failures.empty() ? 0 : 1;
+    return result.failures.empty() ? 0 : 1;
   } catch (const plin::Error& error) {
     std::cerr << "error: " << error.what() << "\n";
     return 1;

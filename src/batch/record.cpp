@@ -4,35 +4,80 @@
 
 namespace plin::batch {
 
-json::Value to_json(const JobRecord& record) {
-  json::Value spec = json::make_object();
-  spec.set("tier", to_string(record.spec.tier));
-  spec.set("machine", record.spec.machine);
-  spec.set("algorithm", algorithm_token(record.spec.algorithm));
-  spec.set("n", static_cast<double>(record.spec.n));
-  spec.set("ranks", record.spec.ranks);
-  spec.set("layout", layout_token(record.spec.layout));
-  spec.set("nb", static_cast<double>(record.spec.nb));
-  spec.set("seed", static_cast<double>(record.spec.seed));
-  spec.set("reps", record.spec.repetitions);
-  spec.set("iterations", record.spec.iterations);
-  spec.set("power_cap_w", record.spec.power_cap_w);
+json::Value spec_to_json(const JobSpec& spec) {
+  json::Value out = json::make_object();
+  out.set("tier", to_string(spec.tier));
+  out.set("machine", spec.machine);
+  out.set("algorithm", algorithm_token(spec.algorithm));
+  out.set("n", static_cast<double>(spec.n));
+  out.set("ranks", spec.ranks);
+  out.set("layout", layout_token(spec.layout));
+  out.set("nb", static_cast<double>(spec.nb));
+  out.set("seed", static_cast<double>(spec.seed));
+  out.set("reps", spec.repetitions);
+  out.set("iterations", spec.iterations);
+  out.set("power_cap_w", spec.power_cap_w);
   // Written only for the non-default so records from fp64-only stores stay
   // byte-stable across versions (mirrors JobSpec::canonical()).
-  if (record.spec.precision != perfsim::Precision::kFp64) {
-    spec.set("precision", precision_token(record.spec.precision));
+  if (spec.precision != perfsim::Precision::kFp64) {
+    out.set("precision", precision_token(spec.precision));
   }
   // Same conditional rule for the sparse fields: only cg jobs carry them,
   // so dense-only stores stay byte-stable across versions.
-  const bool is_cg = record.spec.algorithm == perfsim::Algorithm::kCg;
-  if (is_cg) {
-    spec.set("matrix", sparse::kind_token(record.spec.matrix));
+  if (spec.algorithm == perfsim::Algorithm::kCg) {
+    out.set("matrix", sparse::kind_token(spec.matrix));
     // The precond axis only for preconditioned cg jobs — plain-cg stores
     // stay byte-stable (mirrors JobSpec::canonical()).
-    if (record.spec.precond != solvers::CgPrecond::kNone) {
-      spec.set("precond", solvers::precond_token(record.spec.precond));
+    if (spec.precond != solvers::CgPrecond::kNone) {
+      out.set("precond", solvers::precond_token(spec.precond));
     }
   }
+  return out;
+}
+
+JobSpec spec_from_json(const json::Value& value) {
+  JobSpec spec;
+  for (const auto& [field, v] : value.as_object()) {
+    if (field == "tier") {
+      spec.tier = parse_tier(v.as_string());
+    } else if (field == "machine") {
+      spec.machine = v.as_string();
+    } else if (field == "algorithm") {
+      spec.algorithm = parse_algorithm_token(v.as_string());
+    } else if (field == "n") {
+      spec.n = v.as_integral<std::size_t>();
+    } else if (field == "ranks") {
+      spec.ranks = v.as_integral<int>();
+    } else if (field == "layout") {
+      spec.layout = parse_layout_token(v.as_string());
+    } else if (field == "nb") {
+      spec.nb = v.as_integral<std::size_t>();
+    } else if (field == "seed") {
+      spec.seed = v.as_integral<std::uint64_t>();
+    } else if (field == "reps") {
+      spec.repetitions = v.as_integral<int>();
+    } else if (field == "iterations") {
+      spec.iterations = v.as_integral<int>();
+    } else if (field == "power_cap_w") {
+      spec.power_cap_w = v.as_number();
+    } else if (field == "precision") {
+      spec.precision = parse_precision_token(v.as_string());
+    } else if (field == "matrix") {
+      spec.matrix = sparse::parse_kind_token(v.as_string());
+    } else if (field == "precond") {
+      spec.precond = solvers::parse_precond_token(v.as_string());
+    } else {
+      throw InvalidArgument("unknown spec field '" + field + "'");
+    }
+  }
+  PLIN_CHECK_MSG(spec.n > 0, "spec needs n > 0");
+  PLIN_CHECK_MSG(spec.ranks > 0, "spec needs ranks > 0");
+  PLIN_CHECK_MSG(spec.repetitions > 0, "spec needs reps > 0");
+  return spec;
+}
+
+json::Value to_json(const JobRecord& record) {
+  const bool is_cg = record.spec.algorithm == perfsim::Algorithm::kCg;
 
   json::Array reps;
   reps.reserve(record.repetitions.size());
@@ -56,35 +101,14 @@ json::Value to_json(const JobRecord& record) {
 
   json::Value root = json::make_object();
   root.set("key", record.key());
-  root.set("spec", std::move(spec));
+  root.set("spec", spec_to_json(record.spec));
   root.set("reps", json::Value(std::move(reps)));
   return root;
 }
 
 JobRecord record_from_json(const json::Value& value) {
   JobRecord record;
-  const json::Value& spec = value.at("spec");
-  record.spec.tier = parse_tier(spec.at("tier").as_string());
-  record.spec.machine = spec.at("machine").as_string();
-  record.spec.algorithm =
-      parse_algorithm_token(spec.at("algorithm").as_string());
-  record.spec.n = spec.at("n").as_integral<std::size_t>();
-  record.spec.ranks = spec.at("ranks").as_integral<int>();
-  record.spec.layout = parse_layout_token(spec.at("layout").as_string());
-  record.spec.nb = spec.at("nb").as_integral<std::size_t>();
-  record.spec.seed = spec.at("seed").as_integral<std::uint64_t>();
-  record.spec.repetitions = spec.at("reps").as_integral<int>();
-  record.spec.iterations = spec.at("iterations").as_integral<int>();
-  record.spec.power_cap_w = spec.at("power_cap_w").as_number();
-  if (const json::Value* precision = spec.find("precision")) {
-    record.spec.precision = parse_precision_token(precision->as_string());
-  }
-  if (const json::Value* matrix = spec.find("matrix")) {
-    record.spec.matrix = sparse::parse_kind_token(matrix->as_string());
-  }
-  if (const json::Value* precond = spec.find("precond")) {
-    record.spec.precond = solvers::parse_precond_token(precond->as_string());
-  }
+  record.spec = spec_from_json(value.at("spec"));
 
   for (const json::Value& r : value.at("reps").as_array()) {
     RepetitionRecord rep;

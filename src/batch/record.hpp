@@ -43,6 +43,17 @@ struct JobRecord {
   std::string key() const { return spec.key(); }
 };
 
+/// Spec <-> JSON, the one codec shared by the store's records and the serve
+/// wire protocol. spec_to_json emits a stable field order and writes
+/// precision, matrix and precond only where JobSpec::canonical() does, so
+/// journals of jobs without them stay byte-stable. spec_from_json accepts
+/// any order, gives omitted fields the JobSpec defaults, and throws
+/// InvalidArgument on unknown fields, bad tokens and non-integral or
+/// out-of-range integers, so a typo fails loudly instead of silently
+/// running (and keying) a different job.
+json::Value spec_to_json(const JobSpec& spec);
+JobSpec spec_from_json(const json::Value& value);
+
 /// Record <-> JSON. to_json emits a stable field order; from_json accepts
 /// any order and throws plin::Error on missing fields or kind mismatches.
 json::Value to_json(const JobRecord& record);

@@ -15,7 +15,7 @@ namespace plin::batch {
 
 /// Runs `spec` to completion and returns its record. Throws (solver
 /// failure, bad residual, impossible placement, ...) rather than returning
-/// partial data; the queue layer captures and retries.
+/// partial data; the serve engine captures and retries.
 ///
 /// If `trace_dir` is non-empty, a numeric-tier job archives the span-trace
 /// bundle of its first repetition under `<trace_dir>/<spec.key()>/`

@@ -14,8 +14,8 @@
 // and throws. Records whose stored key no longer matches their spec (a
 // format-version bump) are skipped — they simply become cache misses.
 //
-// Thread safety: put() and lookups are mutex-guarded; the queue's workers
-// write concurrently.
+// Thread safety: put() and lookups are mutex-guarded; the serve engine's
+// workers write concurrently.
 #pragma once
 
 #include <cstddef>
@@ -37,7 +37,8 @@ namespace plin::batch {
 /// serve daemon's /stats endpoint all render this struct.
 ///
 /// hits/misses count probe() calls only (the cache-decision points: the
-/// queue and the serve scheduler). contains()/lookup() stay count-free so
+/// serve scheduler's submit and the campaign's past-budget probe).
+/// contains()/lookup() stay count-free so
 /// report generation does not pollute the counters.
 struct StoreStats {
   std::uint64_t hits = 0;      // probe() found a completed record
@@ -70,8 +71,8 @@ class ResultStore {
   JobRecord lookup(const std::string& key) const;
 
   /// Cache-decision lookup: like contains()+lookup() in one call, but
-  /// counted into stats().hits / stats().misses. The queue and the serve
-  /// scheduler probe; the report layer uses the count-free accessors.
+  /// counted into stats().hits / stats().misses. The serve scheduler and
+  /// the campaign probe; the report layer uses the count-free accessors.
   std::optional<JobRecord> probe(const std::string& key);
 
   /// Journals and indexes one completed job. Re-putting a key overwrites

@@ -7,6 +7,7 @@
 
 #include <cstring>
 
+#include "batch/record.hpp"
 #include "serve/protocol.hpp"
 #include "support/error.hpp"
 
@@ -83,7 +84,7 @@ json::Value Client::submit(const batch::JobSpec& spec,
   body.set("tenant", tenant);
   if (wait) body.set("wait", true);
   if (!tag.empty()) body.set("tag", tag);
-  body.set("spec", spec_to_json(spec));
+  body.set("spec", batch::spec_to_json(spec));
   return request(body);
 }
 

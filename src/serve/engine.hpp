@@ -22,8 +22,10 @@
 //
 // Admission control is per tenant (max queued, max inflight); a full queue
 // rejects the submit (backpressure is explicit, not an unbounded buffer).
-// Job timeouts are cooperative (checked when the job returns, like the
-// batch queue); failures retry with linear backoff up to `retries` times.
+// Job timeouts are cooperative (checked when the job returns; simulated
+// jobs always terminate); failures retry with linear backoff up to
+// `retries` times. `powerlin_run --campaign` runs on this same engine as a
+// single tenant (serve/campaign.hpp).
 #pragma once
 
 #include <condition_variable>
@@ -53,7 +55,9 @@ struct EngineOptions {
   double timeout_s = 0.0;      // cooperative per-attempt budget; 0 = none
   double backoff_s = 0.0;      // host sleep before attempt k is k*backoff_s
   TenantConfig default_tenant;
-  /// Test hook replacing batch::execute_job (fault injection, fake clocks).
+  /// Runs one attempt of one job; empty means batch::execute_job.
+  /// run_campaign installs execute_job behind its fault-injection hook and
+  /// with its trace directory; tests install fake executors.
   std::function<batch::JobRecord(const batch::JobSpec&)> executor;
 };
 

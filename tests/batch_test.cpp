@@ -1,8 +1,7 @@
-// Tests for the batch campaign orchestrator: manifest parsing and grid
-// expansion, content-addressed job keys, the crash-safe result store
-// (journal replay, torn-tail recovery, corruption detection), the worker
-// queue (caching, retries, timeouts, deterministic interruption) and the
-// byte-identical report contract across interrupts and worker counts.
+// Tests for the batch data layer: manifest parsing and grid expansion,
+// content-addressed job keys, the record codec, the crash-safe result store
+// (journal replay, torn-tail recovery, corruption detection) and the job
+// runner. Campaigns themselves run on the serve engine (serve_test.cpp).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,11 +12,8 @@
 #include <thread>
 #include <vector>
 
-#include "batch/campaign.hpp"
 #include "batch/manifest.hpp"
-#include "batch/queue.hpp"
 #include "batch/record.hpp"
-#include "batch/report.hpp"
 #include "batch/runner.hpp"
 #include "batch/spec.hpp"
 #include "batch/store.hpp"
@@ -521,92 +517,6 @@ TEST(StoreTest, StaleKeysAreSkippedNotFatal) {
   EXPECT_EQ(store.skipped_stale(), 1u);
 }
 
-// --- queue ------------------------------------------------------------------
-
-TEST(QueueTest, ExecutesThenServesFromCache) {
-  const std::string dir = scratch_dir("queue_cache");
-  const std::vector<JobSpec> jobs = tiny_manifest().expand();
-  ResultStore store(dir);
-  QueueOptions options;
-  const QueueOutcome fresh = run_queue(jobs, store, options);
-  EXPECT_EQ(fresh.executed, jobs.size());
-  EXPECT_EQ(fresh.cached, 0u);
-  EXPECT_TRUE(fresh.complete());
-  const QueueOutcome resumed = run_queue(jobs, store, options);
-  EXPECT_EQ(resumed.executed, 0u);
-  EXPECT_EQ(resumed.cached, jobs.size());
-}
-
-TEST(QueueTest, MaxJobsStopsDeterministically) {
-  const std::string dir = scratch_dir("queue_maxjobs");
-  const std::vector<JobSpec> jobs = tiny_manifest().expand();
-  ResultStore store(dir);
-  QueueOptions options;
-  options.max_jobs = 2;
-  const QueueOutcome first = run_queue(jobs, store, options);
-  EXPECT_EQ(first.executed, 2u);
-  EXPECT_EQ(first.stopped, 2u);
-  EXPECT_FALSE(first.complete());
-  // Resume with the same budget: the cached prefix doesn't consume it.
-  const QueueOutcome second = run_queue(jobs, store, options);
-  EXPECT_EQ(second.executed, 2u);
-  EXPECT_EQ(second.cached, 2u);
-  EXPECT_EQ(second.stopped, 0u);
-  EXPECT_TRUE(second.complete());
-}
-
-TEST(QueueTest, RetriesAfterInjectedFault) {
-  const std::string dir = scratch_dir("queue_retry");
-  std::vector<JobSpec> jobs = tiny_manifest().expand();
-  jobs.resize(1);
-  ResultStore store(dir);
-  QueueOptions options;
-  options.retries = 1;
-  int calls = 0;
-  options.job_hook = [&](const JobSpec&) {
-    if (++calls == 1) throw Error("injected fault");
-  };
-  const QueueOutcome outcome = run_queue(jobs, store, options);
-  EXPECT_EQ(calls, 2);
-  EXPECT_EQ(outcome.executed, 1u);
-  EXPECT_TRUE(outcome.failures.empty());
-}
-
-TEST(QueueTest, CapturesPermanentFailures) {
-  const std::string dir = scratch_dir("queue_fail");
-  std::vector<JobSpec> jobs = tiny_manifest().expand();
-  jobs.resize(2);
-  ResultStore store(dir);
-  QueueOptions options;
-  options.retries = 1;
-  options.job_hook = [&](const JobSpec& spec) {
-    if (spec.n == 96) throw Error("injected permanent fault");
-  };
-  const QueueOutcome outcome = run_queue(jobs, store, options);
-  EXPECT_EQ(outcome.executed, 1u);
-  ASSERT_EQ(outcome.failures.size(), 1u);
-  EXPECT_EQ(outcome.failures[0].spec.n, 96u);
-  EXPECT_EQ(outcome.failures[0].attempts, 2);
-  EXPECT_NE(outcome.failures[0].error.find("injected"), std::string::npos);
-  // The failed job is absent from the store; the good one persisted.
-  EXPECT_EQ(store.size(), 1u);
-}
-
-TEST(QueueTest, TimeoutDiscardsOverBudgetJobs) {
-  const std::string dir = scratch_dir("queue_timeout");
-  std::vector<JobSpec> jobs = tiny_manifest().expand();
-  jobs.resize(1);
-  ResultStore store(dir);
-  QueueOptions options;
-  options.timeout_s = 1e-12;  // everything is over budget
-  const QueueOutcome outcome = run_queue(jobs, store, options);
-  EXPECT_EQ(outcome.executed, 0u);
-  ASSERT_EQ(outcome.failures.size(), 1u);
-  EXPECT_NE(outcome.failures[0].error.find("time budget"),
-            std::string::npos);
-  EXPECT_EQ(store.size(), 0u);
-}
-
 // --- runner -----------------------------------------------------------------
 
 TEST(RunnerTest, NumericTierRejectsJacobi) {
@@ -696,83 +606,6 @@ TEST(RunnerTest, PowerCapStretchesDurationAndClampsPower) {
   const RepetitionRecord& c = capped.repetitions[0];
   EXPECT_GT(c.duration_s, u.duration_s);
   EXPECT_LT(c.total_j() / c.duration_s, u.total_j() / u.duration_s);
-}
-
-// --- campaign-level determinism --------------------------------------------
-
-TEST(CampaignTest, ReportsAreByteIdenticalAcrossInterruptAndResume) {
-  const CampaignManifest manifest = tiny_manifest();
-
-  CampaignOptions fresh_options;
-  fresh_options.store_dir = scratch_dir("campaign_fresh");
-  const CampaignResult fresh = run_campaign(manifest, fresh_options);
-  EXPECT_EQ(fresh.outcome.executed, 4u);
-  EXPECT_EQ(fresh.missing, 0u);
-
-  CampaignOptions interrupted_options;
-  interrupted_options.store_dir = scratch_dir("campaign_resumed");
-  interrupted_options.max_jobs = 2;
-  const CampaignResult interrupted =
-      run_campaign(manifest, interrupted_options);
-  EXPECT_EQ(interrupted.outcome.executed, 2u);
-  EXPECT_EQ(interrupted.outcome.stopped, 2u);
-  EXPECT_EQ(interrupted.missing, 2u);
-
-  interrupted_options.max_jobs = static_cast<std::size_t>(-1);
-  const CampaignResult resumed = run_campaign(manifest, interrupted_options);
-  EXPECT_EQ(resumed.outcome.executed, 2u);
-  EXPECT_EQ(resumed.outcome.cached, 2u);
-  EXPECT_EQ(resumed.missing, 0u);
-
-  const std::string fresh_csv = read_file(fresh.csv_path);
-  EXPECT_FALSE(fresh_csv.empty());
-  EXPECT_EQ(fresh_csv, read_file(resumed.csv_path));
-  EXPECT_EQ(read_file(fresh.markdown_path), read_file(resumed.markdown_path));
-}
-
-TEST(CampaignTest, ReportsAreByteIdenticalAcrossWorkerCounts) {
-  const CampaignManifest manifest = tiny_manifest();
-
-  CampaignOptions serial;
-  serial.store_dir = scratch_dir("campaign_w1");
-  serial.workers = 1;
-  const CampaignResult one = run_campaign(manifest, serial);
-
-  CampaignOptions pooled;
-  pooled.store_dir = scratch_dir("campaign_w4");
-  pooled.workers = 4;
-  const CampaignResult four = run_campaign(manifest, pooled);
-
-  EXPECT_EQ(one.outcome.executed, 4u);
-  EXPECT_EQ(four.outcome.executed, 4u);
-  const std::string csv = read_file(one.csv_path);
-  EXPECT_FALSE(csv.empty());
-  EXPECT_EQ(csv, read_file(four.csv_path));
-}
-
-TEST(CampaignTest, PrecisionColumnAppearsOnlyWithMixedJobs) {
-  // fp64-only reports keep the pre-mixed header byte-for-byte; a grid with
-  // mixed points gains the precision column.
-  CampaignManifest manifest = tiny_manifest();
-  CampaignOptions fp64_options;
-  fp64_options.store_dir = scratch_dir("campaign_fp64_only");
-  const CampaignResult fp64 = run_campaign(manifest, fp64_options);
-  const std::string fp64_csv = read_file(fp64.csv_path);
-  EXPECT_EQ(fp64_csv.find("precision"), std::string::npos);
-
-  manifest.algorithms = {perfsim::Algorithm::kScalapack};
-  manifest.precisions = {perfsim::Precision::kFp64,
-                         perfsim::Precision::kMixed};
-  CampaignOptions mixed_options;
-  mixed_options.store_dir = scratch_dir("campaign_mixed");
-  const CampaignResult mixed = run_campaign(manifest, mixed_options);
-  EXPECT_EQ(mixed.outcome.executed, 4u);
-  EXPECT_TRUE(mixed.outcome.failures.empty());
-  const std::string mixed_csv = read_file(mixed.csv_path);
-  EXPECT_NE(mixed_csv.find("precision"), std::string::npos);
-  EXPECT_NE(mixed_csv.find("mixed"), std::string::npos);
-  const std::string mixed_md = read_file(mixed.markdown_path);
-  EXPECT_NE(mixed_md.find("| precision |"), std::string::npos);
 }
 
 }  // namespace

@@ -2,18 +2,25 @@
 // fair-share stride scheduler (dedupe, coalescing, admission control,
 // retries, cooperative timeouts, drain), the crash-restart guarantee (a
 // completed job is journaled before it is acknowledged, so a fresh engine
-// over the same store serves it from cache), and the socket server
-// end-to-end over a real AF_UNIX connection.
+// over the same store serves it from cache), campaigns on the engine
+// (cache resume, the exact --max-jobs budget, failure capture, and
+// byte-identical reports across interrupts and worker counts), and the
+// socket server end-to-end over a real AF_UNIX connection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <thread>
 #include <vector>
 
+#include "batch/record.hpp"
+#include "serve/campaign.hpp"
 #include "serve/client.hpp"
 #include "serve/engine.hpp"
 #include "serve/protocol.hpp"
@@ -116,8 +123,28 @@ TEST(ProtocolTest, SpecRoundTripsThroughJson) {
   batch::JobSpec spec = replay_spec(7, 128);
   spec.precision = perfsim::Precision::kMixed;
   spec.repetitions = 3;
-  const batch::JobSpec back = spec_from_json(spec_to_json(spec));
+  const batch::JobSpec back = batch::spec_from_json(batch::spec_to_json(spec));
   EXPECT_EQ(back.key(), spec.key());
+
+  // The cg axes survive the trip, including a submit line on the wire: the
+  // daemon must run (and key) the banded Jacobi job the client asked for.
+  for (const solvers::CgPrecond precond :
+       {solvers::CgPrecond::kNone, solvers::CgPrecond::kJacobi}) {
+    batch::JobSpec cg = replay_spec(8);
+    cg.algorithm = perfsim::Algorithm::kCg;
+    cg.matrix = sparse::SparseKind::kBanded;
+    cg.precond = precond;
+    const batch::JobSpec cg_back =
+        batch::spec_from_json(batch::spec_to_json(cg));
+    EXPECT_EQ(cg_back.matrix, sparse::SparseKind::kBanded);
+    EXPECT_EQ(cg_back.precond, precond);
+    EXPECT_EQ(cg_back.key(), cg.key());
+
+    json::Value submit = json::make_object();
+    submit.set("op", "submit");
+    submit.set("spec", batch::spec_to_json(cg));
+    EXPECT_EQ(parse_request(json::serialize(submit)).spec.key(), cg.key());
+  }
 }
 
 // --- engine: dedupe, coalescing, admission ----------------------------------
@@ -374,6 +401,213 @@ TEST(EngineTest, StatsJsonCarriesSchedulerTenantsAndCache) {
   // Round-trips through the support/json layer (the serve_stats.json file).
   const json::Value reparsed = json::parse(json::serialize(stats));
   EXPECT_EQ(json::serialize(reparsed), json::serialize(stats));
+}
+
+// --- campaigns on the engine ------------------------------------------------
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+std::size_t journal_lines(const std::string& store_dir) {
+  const std::string text = read_file(store_dir + "/journal.jsonl");
+  return static_cast<std::size_t>(
+      std::count(text.begin(), text.end(), '\n'));
+}
+
+/// A 4-job numeric campaign small enough for unit tests.
+batch::CampaignManifest tiny_manifest() {
+  batch::CampaignManifest manifest;
+  manifest.name = "tiny";
+  manifest.tier = batch::Tier::kNumeric;
+  manifest.machine = "mini:8x4";
+  manifest.algorithms = {perfsim::Algorithm::kIme,
+                         perfsim::Algorithm::kScalapack};
+  manifest.sizes = {96, 128};
+  manifest.rank_counts = {4};
+  manifest.repetitions = 2;
+  return manifest;
+}
+
+TEST(CampaignTest, ResumeServesEveryJobFromCache) {
+  const batch::CampaignManifest manifest = tiny_manifest();
+  CampaignOptions options;
+  options.store_dir = scratch_dir("campaign_cache");
+  const CampaignResult fresh = run_campaign(manifest, options);
+  EXPECT_EQ(fresh.executed, 4u);
+  EXPECT_EQ(fresh.cached, 0u);
+  EXPECT_EQ(fresh.store_stats.misses, 4u);
+  EXPECT_EQ(fresh.store_stats.inserts, 4u);
+
+  const CampaignResult resumed = run_campaign(manifest, options);
+  EXPECT_EQ(resumed.executed, 0u);
+  EXPECT_EQ(resumed.cached, 4u);
+  EXPECT_EQ(resumed.store_stats.hits, 4u);
+  EXPECT_EQ(resumed.store_stats.misses, 0u);
+  EXPECT_EQ(resumed.store_stats.inserts, 0u);
+  EXPECT_EQ(journal_lines(options.store_dir), 4u);
+}
+
+TEST(CampaignTest, MaxJobsIsExactWithFourWorkers) {
+  batch::CampaignManifest manifest = tiny_manifest();
+  manifest.workers = 4;
+  const std::vector<batch::JobSpec> specs = manifest.expand();
+  CampaignOptions options;
+  options.store_dir = scratch_dir("campaign_maxjobs");
+  options.max_jobs = 2;
+
+  const CampaignResult first = run_campaign(manifest, options);
+  EXPECT_EQ(first.executed, 2u);
+  EXPECT_EQ(first.stopped, 2u);
+  EXPECT_EQ(first.missing, 2u);
+  EXPECT_EQ(journal_lines(options.store_dir), 2u);
+  // The budget is spent in manifest order, whatever the worker count.
+  ASSERT_EQ(first.records.size(), 2u);
+  EXPECT_EQ(first.records[0].key(), specs[0].key());
+  EXPECT_EQ(first.records[1].key(), specs[1].key());
+
+  // Resume with the same budget: the cached prefix doesn't consume it.
+  const CampaignResult second = run_campaign(manifest, options);
+  EXPECT_EQ(second.executed, 2u);
+  EXPECT_EQ(second.cached, 2u);
+  EXPECT_EQ(second.stopped, 0u);
+  EXPECT_EQ(second.missing, 0u);
+  EXPECT_EQ(second.store_stats.hits, 2u);
+  EXPECT_EQ(journal_lines(options.store_dir), 4u);
+}
+
+TEST(CampaignTest, CapturesPermanentFailures) {
+  batch::CampaignManifest manifest = tiny_manifest();
+  manifest.algorithms = {perfsim::Algorithm::kIme};  // n = 96, then 128
+  manifest.retries = 1;
+  std::atomic<int> attempts{0};
+  CampaignOptions options;
+  options.store_dir = scratch_dir("campaign_fail");
+  options.job_hook = [&](const batch::JobSpec& spec) {
+    if (spec.n == 96) {
+      ++attempts;
+      throw Error("injected permanent fault");
+    }
+  };
+  const CampaignResult result = run_campaign(manifest, options);
+  EXPECT_EQ(result.executed, 1u);
+  ASSERT_EQ(result.failures.size(), 1u);
+  EXPECT_EQ(result.failures[0].spec.n, 96u);
+  EXPECT_EQ(result.failures[0].attempts, 2);  // 1 + retries
+  EXPECT_EQ(attempts.load(), 2);
+  EXPECT_NE(result.failures[0].error.find("injected"), std::string::npos);
+  // The failed job is absent from the store; the good one persisted.
+  EXPECT_EQ(result.missing, 1u);
+  const batch::ResultStore store(options.store_dir);
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_FALSE(store.contains(result.failures[0].spec.key()));
+}
+
+TEST(CampaignTest, LargeReplayGridIsNeverRejected) {
+  // More jobs than the engine's default per-tenant queue (1024): the
+  // campaign's tenant must admit the whole grid. Each job is held for 2 ms
+  // so the workers cannot drain the queue as fast as it fills.
+  batch::CampaignManifest manifest;
+  manifest.name = "large";
+  manifest.tier = batch::Tier::kReplay;
+  manifest.machine = "mini:8x4";
+  manifest.algorithms = {perfsim::Algorithm::kScalapack};
+  manifest.sizes = {96, 128, 160, 192};
+  manifest.workers = 4;
+  manifest.seeds.clear();
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    manifest.seeds.push_back(seed);
+  }
+  ASSERT_GT(manifest.job_count(), 1024u);
+  CampaignOptions options;
+  options.store_dir = scratch_dir("campaign_large");
+  options.write_reports = false;
+  options.job_hook = [](const batch::JobSpec&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  };
+  const CampaignResult result = run_campaign(manifest, options);
+  EXPECT_EQ(result.executed, manifest.job_count());
+  EXPECT_TRUE(result.failures.empty());
+  EXPECT_EQ(result.stopped, 0u);
+  EXPECT_EQ(result.missing, 0u);
+}
+
+TEST(CampaignTest, ReportsAreByteIdenticalAcrossInterruptAndResume) {
+  const batch::CampaignManifest manifest = tiny_manifest();
+
+  CampaignOptions fresh_options;
+  fresh_options.store_dir = scratch_dir("campaign_fresh");
+  const CampaignResult fresh = run_campaign(manifest, fresh_options);
+  EXPECT_EQ(fresh.executed, 4u);
+  EXPECT_EQ(fresh.missing, 0u);
+
+  CampaignOptions interrupted_options;
+  interrupted_options.store_dir = scratch_dir("campaign_resumed");
+  interrupted_options.max_jobs = 2;
+  const CampaignResult interrupted =
+      run_campaign(manifest, interrupted_options);
+  EXPECT_EQ(interrupted.executed, 2u);
+  EXPECT_EQ(interrupted.stopped, 2u);
+  EXPECT_EQ(interrupted.missing, 2u);
+
+  interrupted_options.max_jobs = static_cast<std::size_t>(-1);
+  const CampaignResult resumed = run_campaign(manifest, interrupted_options);
+  EXPECT_EQ(resumed.executed, 2u);
+  EXPECT_EQ(resumed.cached, 2u);
+  EXPECT_EQ(resumed.missing, 0u);
+
+  const std::string fresh_csv = read_file(fresh.csv_path);
+  EXPECT_FALSE(fresh_csv.empty());
+  EXPECT_EQ(fresh_csv, read_file(resumed.csv_path));
+  EXPECT_EQ(read_file(fresh.markdown_path), read_file(resumed.markdown_path));
+}
+
+TEST(CampaignTest, ReportsAreByteIdenticalAcrossWorkerCounts) {
+  const batch::CampaignManifest manifest = tiny_manifest();
+
+  CampaignOptions serial;
+  serial.store_dir = scratch_dir("campaign_w1");
+  serial.workers = 1;
+  const CampaignResult one = run_campaign(manifest, serial);
+
+  CampaignOptions pooled;
+  pooled.store_dir = scratch_dir("campaign_w4");
+  pooled.workers = 4;
+  const CampaignResult four = run_campaign(manifest, pooled);
+
+  EXPECT_EQ(one.executed, 4u);
+  EXPECT_EQ(four.executed, 4u);
+  const std::string csv = read_file(one.csv_path);
+  EXPECT_FALSE(csv.empty());
+  EXPECT_EQ(csv, read_file(four.csv_path));
+}
+
+TEST(CampaignTest, PrecisionColumnAppearsOnlyWithMixedJobs) {
+  // fp64-only reports keep the pre-mixed header byte-for-byte; a grid with
+  // mixed points gains the precision column.
+  batch::CampaignManifest manifest = tiny_manifest();
+  CampaignOptions fp64_options;
+  fp64_options.store_dir = scratch_dir("campaign_fp64_only");
+  const CampaignResult fp64 = run_campaign(manifest, fp64_options);
+  const std::string fp64_csv = read_file(fp64.csv_path);
+  EXPECT_EQ(fp64_csv.find("precision"), std::string::npos);
+
+  manifest.algorithms = {perfsim::Algorithm::kScalapack};
+  manifest.precisions = {perfsim::Precision::kFp64,
+                         perfsim::Precision::kMixed};
+  CampaignOptions mixed_options;
+  mixed_options.store_dir = scratch_dir("campaign_mixed");
+  const CampaignResult mixed = run_campaign(manifest, mixed_options);
+  EXPECT_EQ(mixed.executed, 4u);
+  EXPECT_TRUE(mixed.failures.empty());
+  const std::string mixed_csv = read_file(mixed.csv_path);
+  EXPECT_NE(mixed_csv.find("precision"), std::string::npos);
+  EXPECT_NE(mixed_csv.find("mixed"), std::string::npos);
+  const std::string mixed_md = read_file(mixed.markdown_path);
+  EXPECT_NE(mixed_md.find("| precision |"), std::string::npos);
 }
 
 // --- server end-to-end over AF_UNIX -----------------------------------------

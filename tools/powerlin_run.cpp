@@ -9,11 +9,11 @@
 // silently ignored).
 #include <iostream>
 
-#include "batch/campaign.hpp"
 #include "hwmodel/machine.hpp"
 #include "hwmodel/placement.hpp"
 #include "monitor/campaign.hpp"
 #include "perfsim/simulator.hpp"
+#include "serve/campaign.hpp"
 #include "solvers/jacobi/jacobi.hpp"
 #include "sparse/generate.hpp"
 #include "support/cli.hpp"
@@ -51,9 +51,10 @@ One-off modes:
                (numeric tier; first repetition only — docs/tracing.md)
 
 Campaign mode (batch orchestrator, docs/campaign.md):
-  --campaign   path to a campaign manifest; runs the whole grid through the
-               job queue with the content-addressed result store, skipping
-               every job already journaled (resume = re-run same command)
+  --campaign   path to a campaign manifest; runs the whole grid on the
+               serve engine's worker pool with the content-addressed result
+               store, skipping every job already journaled (resume = re-run
+               same command)
   --store      result store directory (default campaign_store)
   --workers    override the manifest's host worker count
   --max-jobs   execute at most N jobs this invocation, then stop (the
@@ -74,25 +75,20 @@ int run_replay(const CliArgs& args) {
   const std::size_t n = static_cast<std::size_t>(args.get_int("n", 17280));
   const int ranks = static_cast<int>(args.get_int("ranks", 576));
   const hw::LoadLayout layout = parse_layout(args.get("layout", "full"));
-  const std::string algorithm = args.get("algorithm", "ime");
   const std::size_t nb = static_cast<std::size_t>(args.get_int("nb", 64));
   perfsim::Workload workload;
   workload.n = n;
   workload.nb = nb;
-  if (algorithm == "scalapack") {
-    workload.algorithm = perfsim::Algorithm::kScalapack;
-  } else if (algorithm == "jacobi") {
-    workload.algorithm = perfsim::Algorithm::kJacobi;
+  workload.algorithm =
+      batch::parse_algorithm_token(args.get("algorithm", "ime"));
+  if (workload.algorithm == perfsim::Algorithm::kJacobi) {
     workload.iterations = static_cast<int>(args.get_int("iterations", 100));
-  } else if (algorithm == "cg") {
-    workload.algorithm = perfsim::Algorithm::kCg;
+  } else if (workload.algorithm == perfsim::Algorithm::kCg) {
     workload.matrix =
         sparse::parse_kind_token(args.get("matrix", "stencil5"));
     workload.tolerance = args.get_double("tol", 1e-11);
     workload.precond =
         solvers::parse_precond_token(args.get("precond", "none"));
-  } else {
-    workload.algorithm = perfsim::Algorithm::kIme;
   }
   workload.precision =
       batch::parse_precision_token(args.get("precision", "fp64"));
@@ -132,9 +128,10 @@ int run_numeric(const CliArgs& args) {
   const std::size_t n = static_cast<std::size_t>(args.get_int("n", 512));
   const int ranks = static_cast<int>(args.get_int("ranks", 16));
   const hw::LoadLayout layout = parse_layout(args.get("layout", "full"));
-  const std::string algorithm = args.get("algorithm", "ime");
+  const perfsim::Algorithm algorithm =
+      batch::parse_algorithm_token(args.get("algorithm", "ime"));
 
-  if (algorithm == "jacobi") {
+  if (algorithm == perfsim::Algorithm::kJacobi) {
     xmpi::RunConfig config;
     config.machine = machine;
     config.placement = hw::make_placement(ranks, layout, machine);
@@ -159,15 +156,11 @@ int run_numeric(const CliArgs& args) {
   }
 
   monitor::JobSpec spec;
-  if (algorithm == "scalapack") {
-    spec.algorithm = perfsim::Algorithm::kScalapack;
-  } else if (algorithm == "cg") {
-    spec.algorithm = perfsim::Algorithm::kCg;
+  spec.algorithm = algorithm;
+  if (algorithm == perfsim::Algorithm::kCg) {
     spec.matrix = sparse::parse_kind_token(args.get("matrix", "stencil5"));
     spec.tolerance = args.get_double("tol", 1e-11);
     spec.precond = solvers::parse_precond_token(args.get("precond", "none"));
-  } else {
-    spec.algorithm = perfsim::Algorithm::kIme;
   }
   spec.n = n;
   spec.ranks = ranks;
@@ -192,7 +185,7 @@ int run_numeric(const CliArgs& args) {
 int run_campaign_mode(const CliArgs& args) {
   const batch::CampaignManifest manifest =
       batch::load_manifest_file(args.get("campaign", ""));
-  batch::CampaignOptions options;
+  serve::CampaignOptions options;
   options.store_dir = args.get("store", "campaign_store");
   options.workers = static_cast<int>(args.get_int("workers", 0));
   const long max_jobs = args.get_int("max-jobs", -1);
@@ -201,13 +194,13 @@ int run_campaign_mode(const CliArgs& args) {
   }
   options.trace_dir = args.get("trace-dir", "");
 
-  const batch::CampaignResult result = batch::run_campaign(manifest, options);
+  const serve::CampaignResult result = serve::run_campaign(manifest, options);
 
   std::cout << "Campaign '" << manifest.name << "': "
-            << result.outcome.executed << " executed, "
-            << result.outcome.cached << " cached, "
-            << result.outcome.failures.size() << " failed, "
-            << result.outcome.stopped << " stopped ("
+            << result.executed << " executed, "
+            << result.cached << " cached, "
+            << result.failures.size() << " failed, "
+            << result.stopped << " stopped ("
             << result.records.size() << "/"
             << (result.records.size() + result.missing)
             << " jobs in store)\n"
@@ -219,12 +212,12 @@ int run_campaign_mode(const CliArgs& args) {
     std::cout << "\nReports: " << result.csv_path << ", "
               << result.markdown_path << "\n";
   }
-  for (const batch::JobFailure& failure : result.outcome.failures) {
+  for (const serve::JobFailure& failure : result.failures) {
     std::cerr << "failed after " << failure.attempts << " attempt(s): "
               << failure.spec.describe() << ": " << failure.error << "\n";
   }
-  if (!result.outcome.failures.empty()) return 1;
-  return result.outcome.stopped > 0 ? 2 : 0;
+  if (!result.failures.empty()) return 1;
+  return result.stopped > 0 ? 2 : 0;
 }
 
 }  // namespace
