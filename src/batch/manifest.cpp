@@ -1,5 +1,6 @@
 #include "batch/manifest.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -43,80 +44,79 @@ double parse_num(const KvLine& line, const std::string& token) {
   }
 }
 
+/// Parses every value of a grid line with `parse`. A repeated value would
+/// expand its jobs twice and print their rows twice, so it is rejected.
+template <typename T, typename Parse>
+std::vector<T> parse_axis(const KvLine& line, Parse&& parse) {
+  std::vector<T> values;
+  for (std::size_t i = 1; i < line.values.size(); ++i) {
+    const std::string& token = line.values[i];
+    const T value = parse(token);
+    if (std::find(values.begin(), values.end(), value) != values.end()) {
+      fail(line, "grid " + line.values[0] + " repeats the value " + token);
+    }
+    values.push_back(value);
+  }
+  return values;
+}
+
+long parse_positive(const KvLine& line, const std::string& token,
+                    const char* what) {
+  const long v = parse_long(line, token);
+  if (v <= 0) fail(line, std::string(what) + " must be positive: " + token);
+  return v;
+}
+
 void parse_grid(CampaignManifest& manifest, const KvLine& line) {
   if (line.values.size() < 2) {
     fail(line, "grid lines need an axis name and at least one value");
   }
   const std::string& axis = line.values[0];
-  const auto tokens =
-      std::vector<std::string>(line.values.begin() + 1, line.values.end());
-  try {
-    if (axis == "algorithm") {
-      manifest.algorithms.clear();
-      for (const auto& t : tokens) {
-        manifest.algorithms.push_back(parse_algorithm_token(t));
+  if (axis == "algorithm") {
+    manifest.algorithms =
+        parse_axis<perfsim::Algorithm>(line, parse_algorithm_token);
+  } else if (axis == "n") {
+    manifest.sizes = parse_axis<std::size_t>(line, [&](const std::string& t) {
+      return static_cast<std::size_t>(parse_positive(line, t, "n"));
+    });
+  } else if (axis == "ranks") {
+    manifest.rank_counts = parse_axis<int>(line, [&](const std::string& t) {
+      return static_cast<int>(parse_positive(line, t, "ranks"));
+    });
+  } else if (axis == "layout") {
+    manifest.layouts = parse_axis<hw::LoadLayout>(line, parse_layout_token);
+  } else if (axis == "nb") {
+    manifest.blocks = parse_axis<std::size_t>(line, [&](const std::string& t) {
+      return static_cast<std::size_t>(parse_positive(line, t, "nb"));
+    });
+  } else if (axis == "seed") {
+    manifest.seeds = parse_axis<std::uint64_t>(line, [&](const std::string& t) {
+      const long v = parse_long(line, t);
+      try {
+        return checked_seed(v);
+      } catch (const InvalidArgument& e) {
+        fail(line, e.what());
       }
-    } else if (axis == "n") {
-      manifest.sizes.clear();
-      for (const auto& t : tokens) {
-        const long v = parse_long(line, t);
-        if (v <= 0) fail(line, "n must be positive: " + t);
-        manifest.sizes.push_back(static_cast<std::size_t>(v));
-      }
-    } else if (axis == "ranks") {
-      manifest.rank_counts.clear();
-      for (const auto& t : tokens) {
-        const long v = parse_long(line, t);
-        if (v <= 0) fail(line, "ranks must be positive: " + t);
-        manifest.rank_counts.push_back(static_cast<int>(v));
-      }
-    } else if (axis == "layout") {
-      manifest.layouts.clear();
-      for (const auto& t : tokens) {
-        manifest.layouts.push_back(parse_layout_token(t));
-      }
-    } else if (axis == "nb") {
-      manifest.blocks.clear();
-      for (const auto& t : tokens) {
-        const long v = parse_long(line, t);
-        if (v <= 0) fail(line, "nb must be positive: " + t);
-        manifest.blocks.push_back(static_cast<std::size_t>(v));
-      }
-    } else if (axis == "seed") {
-      manifest.seeds.clear();
-      for (const auto& t : tokens) {
-        manifest.seeds.push_back(
-            static_cast<std::uint64_t>(parse_long(line, t)));
-      }
-    } else if (axis == "power_cap_w") {
-      manifest.power_caps_w.clear();
-      for (const auto& t : tokens) {
-        const double v = parse_num(line, t);
-        if (v < 0.0) fail(line, "power_cap_w must be >= 0: " + t);
-        manifest.power_caps_w.push_back(v);
-      }
-    } else if (axis == "precision") {
-      manifest.precisions.clear();
-      for (const auto& t : tokens) {
-        manifest.precisions.push_back(parse_precision_token(t));
-      }
-    } else if (axis == "matrix") {
-      manifest.matrices.clear();
-      for (const auto& t : tokens) {
-        manifest.matrices.push_back(sparse::parse_kind_token(t));
-      }
-    } else if (axis == "precond") {
-      manifest.preconds.clear();
-      for (const auto& t : tokens) {
-        manifest.preconds.push_back(solvers::parse_precond_token(t));
-      }
-    } else {
-      fail(line, "unknown grid axis '" + axis +
-                     "' (algorithm | n | ranks | layout | nb | seed | "
-                     "power_cap_w | precision | matrix | precond)");
-    }
-  } catch (const InvalidArgument&) {
-    throw;  // already carries line context or a precise token message
+    });
+  } else if (axis == "power_cap_w") {
+    manifest.power_caps_w = parse_axis<double>(line, [&](const std::string& t) {
+      const double v = parse_num(line, t);
+      if (v < 0.0) fail(line, "power_cap_w must be >= 0: " + t);
+      return v;
+    });
+  } else if (axis == "precision") {
+    manifest.precisions =
+        parse_axis<perfsim::Precision>(line, parse_precision_token);
+  } else if (axis == "matrix") {
+    manifest.matrices =
+        parse_axis<sparse::SparseKind>(line, sparse::parse_kind_token);
+  } else if (axis == "precond") {
+    manifest.preconds =
+        parse_axis<solvers::CgPrecond>(line, solvers::parse_precond_token);
+  } else {
+    fail(line, "unknown grid axis '" + axis +
+                   "' (algorithm | n | ranks | layout | nb | seed | "
+                   "power_cap_w | precision | matrix | precond)");
   }
 }
 

@@ -63,6 +63,15 @@ perfsim::Precision parse_precision_token(const std::string& token) {
   throw InvalidArgument("unknown precision (use fp64 | mixed): " + token);
 }
 
+std::uint64_t checked_seed(long value) {
+  constexpr long kSeedLimit = 1L << 53;
+  if (value < 0 || value >= kSeedLimit) {
+    throw InvalidArgument("seed must lie in [0, 2^53): " +
+                          std::to_string(value));
+  }
+  return static_cast<std::uint64_t>(value);
+}
+
 std::string JobSpec::canonical() const {
   // Version tag first: bump it whenever the meaning of any field changes,
   // so stale store entries turn into cache misses instead of wrong reuse.

@@ -42,6 +42,12 @@ perfsim::Algorithm parse_algorithm_token(const std::string& token);
 const char* precision_token(perfsim::Precision precision);
 perfsim::Precision parse_precision_token(const std::string& token);
 
+/// Seeds travel as JSON numbers (store journal, serve wire), which hold an
+/// integer exactly only below 2^53. Returns `value` as a seed; throws
+/// InvalidArgument unless 0 <= value < 2^53. The manifest parser and the
+/// CLI's --seed share this check.
+std::uint64_t checked_seed(long value);
+
 /// One fully-specified job. Defaults describe a small numeric-tier run.
 struct JobSpec {
   Tier tier = Tier::kNumeric;

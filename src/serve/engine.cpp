@@ -8,6 +8,7 @@
 #include "batch/runner.hpp"
 #include "support/error.hpp"
 #include "support/stopwatch.hpp"
+#include "support/units.hpp"
 
 namespace plin::serve {
 
@@ -178,12 +179,14 @@ void Engine::worker_loop() {
       Stopwatch watch;
       try {
         const batch::JobRecord record = options_.executor(spec);
-        if (options_.timeout_s > 0.0 &&
-            watch.elapsed_s() > options_.timeout_s) {
+        const double elapsed_s = watch.elapsed_s();
+        if (options_.timeout_s > 0.0 && elapsed_s > options_.timeout_s) {
           std::lock_guard<std::mutex> lock(mutex_);
           ++totals_.timeouts;
           error = "job exceeded the cooperative timeout (" +
-                  std::to_string(options_.timeout_s) + " s); result discarded";
+                  format_duration(elapsed_s) + " > " +
+                  format_duration(options_.timeout_s) +
+                  "); result discarded";
           continue;
         }
         // Persist before acknowledging: the journal line is flushed inside

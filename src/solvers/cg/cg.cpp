@@ -423,11 +423,25 @@ CgResult solve_pcg(xmpi::Comm& comm, const CgOptions& options) {
                                    kAxpy.efficiency});
   };
 
+  // The owned rows' part of the residual check, once result.x holds the
+  // replicated solution: the ghost values are read from it into p's
+  // layout. The remap rewrote column indices in place, so every row sums
+  // its entries in the same order as the global matrix's row. It sends no
+  // message and charges no compute, so virtual time and energy stay put.
+  const auto local_residual = [&] {
+    std::copy(x.begin(), x.end(), p_ext.begin());
+    for (std::size_t k = 0; k < ghosts.size(); ++k) {
+      p_ext[local_rows + k] = result.x[ghosts[k]];
+    }
+    result.residual = sparse::residual_maxima(local, p_ext, local_b);
+  };
+
   const double bb = global_dot(local_b, local_b);
   const double b_norm = std::sqrt(bb);
   if (b_norm == 0.0) {
     result.converged = true;
     result.x.assign(n, 0.0);
+    local_residual();
     return result;
   }
 
@@ -577,6 +591,7 @@ CgResult solve_pcg(xmpi::Comm& comm, const CgOptions& options) {
     std::copy(x.begin(), x.end(), result.x.begin());
   }
   comm.prof_phase_end();
+  local_residual();
   return result;
 }
 

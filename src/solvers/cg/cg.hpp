@@ -69,6 +69,10 @@ struct CgResult {
   bool converged = false;
   double relative_residual = 0.0;  // ||r||_2 / ||b||_2 at exit
   std::size_t nnz = 0;             // global pattern nnz actually streamed
+  /// solve_pcg: this rank's rows' part of the scaled residual of x. Merged
+  /// over the ranks, scaled(n) is bitwise sparse::scaled_residual(A, x, b)
+  /// on the global system (docs/sparse.md).
+  sparse::ResidualMaxima residual;
 };
 
 /// Sequential reference: (preconditioned) CG on an explicit matrix and

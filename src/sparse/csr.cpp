@@ -76,22 +76,37 @@ double inf_norm(const CsrMatrix& a) {
   return norm;
 }
 
-double scaled_residual(const CsrMatrix& a, std::span<const double> x,
-                       std::span<const double> b) {
-  PLIN_CHECK_MSG(a.rows == a.cols, "sparse residual: A must be square");
-  PLIN_CHECK_MSG(x.size() == a.cols && b.size() == a.rows,
+void ResidualMaxima::merge(const ResidualMaxima& other) {
+  residual = std::max(residual, other.residual);
+  row_sum = std::max(row_sum, other.row_sum);
+  x = std::max(x, other.x);
+}
+
+double ResidualMaxima::scaled(std::size_t n) const {
+  const double denom = row_sum * x * static_cast<double>(n);
+  return denom == 0.0 ? residual : residual / denom;
+}
+
+ResidualMaxima residual_maxima(const CsrMatrix& a, std::span<const double> x,
+                               std::span<const double> b) {
+  PLIN_CHECK_MSG(x.size() == a.cols && b.size() == a.rows &&
+                     a.rows <= a.cols,
                  "sparse residual: vector shape mismatch");
   std::vector<double> ax(a.rows, 0.0);
   spmv(a, x, std::span<double>(ax));
-  double num = 0.0;
-  double x_norm = 0.0;
+  ResidualMaxima out;
+  out.row_sum = inf_norm(a);
   for (std::size_t i = 0; i < a.rows; ++i) {
-    num = std::max(num, std::fabs(ax[i] - b[i]));
-    x_norm = std::max(x_norm, std::fabs(x[i]));
+    out.residual = std::max(out.residual, std::fabs(ax[i] - b[i]));
+    out.x = std::max(out.x, std::fabs(x[i]));
   }
-  const double denom =
-      inf_norm(a) * x_norm * static_cast<double>(a.rows);
-  return denom == 0.0 ? num : num / denom;
+  return out;
+}
+
+double scaled_residual(const CsrMatrix& a, std::span<const double> x,
+                       std::span<const double> b) {
+  PLIN_CHECK_MSG(a.rows == a.cols, "sparse residual: A must be square");
+  return residual_maxima(a, x, b).scaled(a.rows);
 }
 
 }  // namespace plin::sparse

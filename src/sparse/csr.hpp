@@ -56,6 +56,30 @@ void spmv(const CsrMatrix& a, std::span<const double> x,
 /// Infinity norm (max absolute row sum).
 double inf_norm(const CsrMatrix& a);
 
+/// The three maxima behind scaled_residual, over some block of rows. A max
+/// combines exactly in any order, so the maxima of a row partition merge
+/// into bitwise the whole system's — which lets each CG rank evaluate its
+/// own rows and the host combine them.
+struct ResidualMaxima {
+  double residual = 0.0;  // max |(Ax)_i - b_i|
+  double row_sum = 0.0;   // max sum_j |a_ij| (the rows' part of ||A||_inf)
+  double x = 0.0;         // max |x_i| over the rows' own unknowns
+
+  void merge(const ResidualMaxima& other);
+
+  /// residual / (row_sum * x * n), or the bare residual when the
+  /// denominator is zero.
+  double scaled(std::size_t n) const;
+};
+
+/// Maxima over a's rows. x holds a.cols entries whose first a.rows are the
+/// rows' own unknowns: a square system, or a row block remapped to
+/// [owned | ghosts] as the distributed CG stores it. b holds a.rows
+/// entries. (Ax)_i goes through spmv, so it carries the same bits as any
+/// other spmv of the same row under the active kernel.
+ResidualMaxima residual_maxima(const CsrMatrix& a, std::span<const double> x,
+                               std::span<const double> b);
+
 /// Scaled residual ||Ax-b||_inf / (||A||_inf * ||x||_inf * n) — the same
 /// LAPACK acceptance metric linalg::scaled_residual applies to the dense
 /// solvers, evaluated without densifying A. Requires a square matrix.

@@ -54,22 +54,62 @@ std::size_t grid_side_3d(std::size_t n) {
   return g;
 }
 
-/// Invokes f(j) for every off-diagonal column j of row i (in no particular
-/// order) — the single source of truth for the pattern, shared by
-/// generation and the nnz count.
-template <typename F>
-void for_row_cols(SparseKind kind, std::size_t n, std::size_t i, F&& f) {
+/// What a row walk needs beyond the row index: the family, n and the grid
+/// side of the stencil families. Finding the side is O(sqrt(n)), so it is
+/// done once per call and shared by every row.
+struct Pattern {
+  SparseKind kind;
+  std::size_t n;
+  std::size_t side;  // grid edge of the stencils (unused otherwise)
+};
+
+Pattern make_pattern(SparseKind kind, std::size_t n) {
   switch (kind) {
     case SparseKind::kStencil5:
+    case SparseKind::kStencil9:
+      return {kind, n, grid_side_2d(n)};
+    case SparseKind::kStencil27:
+      return {kind, n, grid_side_3d(n)};
+    case SparseKind::kBanded:
+    case SparseKind::kRandom:
+    case SparseKind::kBlockDiag:
+      break;
+  }
+  return {kind, n, 0};
+}
+
+/// Most entries any row of the family holds, diagonal included.
+std::size_t max_row_nnz(const Pattern& p) {
+  std::size_t width = 1;
+  switch (p.kind) {
+    case SparseKind::kStencil5: width = 5; break;
+    case SparseKind::kStencil9: width = 9; break;
+    case SparseKind::kStencil27: width = 27; break;
+    case SparseKind::kBanded: width = 2 * kBandedHalfWidth + 1; break;
+    case SparseKind::kRandom: width = 2 * kRandomHalfWidth + 1; break;
+    case SparseKind::kBlockDiag: width = kDiagBlock; break;
+  }
+  return std::min(width, p.n);
+}
+
+/// Invokes f(j) for every off-diagonal column j of row i, in ascending
+/// column order — the single source of truth for the pattern, shared by
+/// generation and the nnz count. The stencils walk dz, dy, dx outermost
+/// to innermost, which is ascending because |dx| < side; the windows and
+/// blocks walk lo..hi.
+template <typename F>
+void for_row_cols(const Pattern& p, std::size_t i, F&& f) {
+  const std::size_t n = p.n;
+  switch (p.kind) {
+    case SparseKind::kStencil5:
     case SparseKind::kStencil9: {
-      const std::size_t g = grid_side_2d(n);
-      const long gx = static_cast<long>(i % g);
-      const long gy = static_cast<long>(i / g);
-      const long side = static_cast<long>(g);
+      const long side = static_cast<long>(p.side);
+      const long gx = static_cast<long>(i % p.side);
+      const long gy = static_cast<long>(i / p.side);
       for (long dy = -1; dy <= 1; ++dy) {
         for (long dx = -1; dx <= 1; ++dx) {
           if (dx == 0 && dy == 0) continue;
-          if (kind == SparseKind::kStencil5 && dx != 0 && dy != 0) continue;
+          if (p.kind == SparseKind::kStencil5 && dx != 0 && dy != 0) continue;
           const long x = gx + dx;
           const long y = gy + dy;
           if (x < 0 || x >= side || y < 0 || y >= side) continue;
@@ -80,11 +120,10 @@ void for_row_cols(SparseKind kind, std::size_t n, std::size_t i, F&& f) {
       break;
     }
     case SparseKind::kStencil27: {
-      const std::size_t g = grid_side_3d(n);
-      const long side = static_cast<long>(g);
-      const long gx = static_cast<long>(i % g);
-      const long gy = static_cast<long>((i / g) % g);
-      const long gz = static_cast<long>(i / (g * g));
+      const long side = static_cast<long>(p.side);
+      const long gx = static_cast<long>(i % p.side);
+      const long gy = static_cast<long>((i / p.side) % p.side);
+      const long gz = static_cast<long>(i / (p.side * p.side));
       for (long dz = -1; dz <= 1; ++dz) {
         for (long dy = -1; dy <= 1; ++dy) {
           for (long dx = -1; dx <= 1; ++dx) {
@@ -106,13 +145,15 @@ void for_row_cols(SparseKind kind, std::size_t n, std::size_t i, F&& f) {
     }
     case SparseKind::kBanded:
     case SparseKind::kRandom: {
-      const std::size_t w = kind == SparseKind::kBanded ? kBandedHalfWidth
-                                                        : kRandomHalfWidth;
+      const std::size_t w = p.kind == SparseKind::kBanded ? kBandedHalfWidth
+                                                          : kRandomHalfWidth;
       const std::size_t lo = i > w ? i - w : 0;
       const std::size_t hi = std::min(n - 1, i + w);
       for (std::size_t j = lo; j <= hi; ++j) {
         if (j == i) continue;
-        if (kind == SparseKind::kRandom && !random_present(n, i, j)) continue;
+        if (p.kind == SparseKind::kRandom && !random_present(n, i, j)) {
+          continue;
+        }
         f(j);
       }
       break;
@@ -175,38 +216,40 @@ CsrMatrix generate_rows(SparseKind kind, std::uint64_t seed, std::size_t n,
   PLIN_CHECK_MSG(n > 0, "sparse generate: empty system");
   PLIN_CHECK_MSG(row_lo <= row_hi && row_hi <= n,
                  "sparse generate: bad row range");
+  const Pattern pattern = make_pattern(kind, n);
   CsrMatrix a;
   a.rows = row_hi - row_lo;
   a.cols = n;
-  a.row_ptr.reserve(a.rows + 1);
-  a.row_ptr.push_back(0);
-  std::vector<std::size_t> cols;
+  a.row_ptr.resize(a.rows + 1, 0);
+  // Reserve the widest-row bound so the arrays never reallocate; the pages
+  // past the real nnz are never touched, so they are never resident.
+  const std::size_t bound = a.rows * max_row_nnz(pattern);
+  a.col_idx.reserve(bound);
+  a.values.reserve(bound);
+  constexpr std::size_t kNoDiag = static_cast<std::size_t>(-1);
   for (std::size_t i = row_lo; i < row_hi; ++i) {
-    cols.clear();
-    for_row_cols(kind, n, i, [&](std::size_t j) { cols.push_back(j); });
-    std::sort(cols.begin(), cols.end());
+    // Columns arrive in ascending order, so the diagonal goes in front of
+    // the first column past i. Its value — the absolute off-diagonal sum
+    // plus one, summed in column order — is known only at the row's end.
+    std::size_t diag_at = kNoDiag;
     double abs_sum = 0.0;
-    for (const std::size_t j : cols) {
-      abs_sum += std::fabs(offdiag_value(kind, seed, n, i, j));
-    }
+    const auto place_diag = [&] {
+      diag_at = a.values.size();
+      a.col_idx.push_back(static_cast<std::uint32_t>(i));
+      a.values.push_back(0.0);
+    };
+    for_row_cols(pattern, i, [&](std::size_t j) {
+      if (diag_at == kNoDiag && j > i) place_diag();
+      const double v = offdiag_value(kind, seed, n, i, j);
+      abs_sum += std::fabs(v);
+      a.col_idx.push_back(static_cast<std::uint32_t>(j));
+      a.values.push_back(v);
+    });
+    if (diag_at == kNoDiag) place_diag();
     // Strict diagonal dominance with a uniform margin of 1: symmetric +
     // dominant + positive diagonal => SPD, truncation-safe.
-    const double diag = abs_sum + 1.0;
-    bool diag_emitted = false;
-    for (const std::size_t j : cols) {
-      if (!diag_emitted && j > i) {
-        a.col_idx.push_back(static_cast<std::uint32_t>(i));
-        a.values.push_back(diag);
-        diag_emitted = true;
-      }
-      a.col_idx.push_back(static_cast<std::uint32_t>(j));
-      a.values.push_back(offdiag_value(kind, seed, n, i, j));
-    }
-    if (!diag_emitted) {
-      a.col_idx.push_back(static_cast<std::uint32_t>(i));
-      a.values.push_back(diag);
-    }
-    a.row_ptr.push_back(a.values.size());
+    a.values[diag_at] = abs_sum + 1.0;
+    a.row_ptr[i - row_lo + 1] = a.values.size();
   }
   return a;
 }
@@ -218,9 +261,10 @@ CsrMatrix generate_matrix(SparseKind kind, std::uint64_t seed,
 
 std::size_t pattern_nnz(SparseKind kind, std::size_t n) {
   PLIN_CHECK_MSG(n > 0, "sparse generate: empty system");
+  const Pattern pattern = make_pattern(kind, n);
   std::size_t count = n;  // one diagonal entry per row
   for (std::size_t i = 0; i < n; ++i) {
-    for_row_cols(kind, n, i, [&](std::size_t) { ++count; });
+    for_row_cols(pattern, i, [&](std::size_t) { ++count; });
   }
   return count;
 }

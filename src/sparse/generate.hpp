@@ -54,7 +54,8 @@ inline constexpr std::size_t kDiagBlock = 64;
 
 /// Rows [row_lo, row_hi) of the global n x n system, with global column
 /// indices and a local row_ptr starting at 0 — what each CG rank builds
-/// for its block. Rows come out sorted and duplicate-free.
+/// for its block. Rows come out sorted and duplicate-free, in O(nnz) time:
+/// every family emits its columns in ascending order, so no row is sorted.
 CsrMatrix generate_rows(SparseKind kind, std::uint64_t seed, std::size_t n,
                         std::size_t row_lo, std::size_t row_hi);
 

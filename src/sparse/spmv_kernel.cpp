@@ -69,17 +69,22 @@ __attribute__((target("avx512f"))) double row_dot_avx512(
     std::size_t hi, const double* x) {
   __m512d acc_v = _mm512_setzero_pd();
   std::size_t k = lo;
+  const __m256i step = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
   for (; k + 8 <= hi; k += 8) {
-    // CSR rows keep strictly increasing columns, so matching endpoints
-    // mean the whole block is contiguous — a plain load feeds the same
-    // eight x values as the gather, just without its latency (dense-row
-    // families like blockdiag take this path on every block).
+    // A block whose eight columns run c, c+1, ..., c+7 reads x with a
+    // plain load instead of the gather — the same eight values without
+    // its latency (dense-row families like blockdiag take this path on
+    // every block). Every column is compared, not just the endpoints: the
+    // distributed CG's remapped rows put ghost slots after the owned
+    // columns, so a row's columns need not increase.
+    const __m256i idx =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cols + k));
+    const __m256i run = _mm256_add_epi32(
+        _mm256_set1_epi32(static_cast<int>(cols[k])), step);
     __m512d xv;
-    if (cols[k + 7] == cols[k] + 7) {
+    if (_mm256_movemask_epi8(_mm256_cmpeq_epi32(idx, run)) == -1) {
       xv = _mm512_loadu_pd(x + cols[k]);
     } else {
-      const __m256i idx =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cols + k));
       xv = _mm512_i32gather_pd(idx, x, 8);
     }
     const __m512d vv = _mm512_loadu_pd(vals + k);
@@ -102,21 +107,22 @@ __attribute__((target("avx2"))) double row_dot_avx2(
   __m256d acc_lo = _mm256_setzero_pd();  // lanes 0..3
   __m256d acc_hi = _mm256_setzero_pd();  // lanes 4..7
   std::size_t k = lo;
+  const __m256i step = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
   for (; k + 8 <= hi; k += 8) {
-    // Same contiguous-block fast path as the AVX-512 kernel (columns are
-    // strictly increasing within a row).
+    // Same contiguous-block fast path as the AVX-512 kernel, with the same
+    // check of every column.
+    const __m256i idx =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cols + k));
+    const __m256i run = _mm256_add_epi32(
+        _mm256_set1_epi32(static_cast<int>(cols[k])), step);
     __m256d x_lo;
     __m256d x_hi;
-    if (cols[k + 7] == cols[k] + 7) {
+    if (_mm256_movemask_epi8(_mm256_cmpeq_epi32(idx, run)) == -1) {
       x_lo = _mm256_loadu_pd(x + cols[k]);
       x_hi = _mm256_loadu_pd(x + cols[k] + 4);
     } else {
-      const __m128i idx_lo =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(cols + k));
-      const __m128i idx_hi =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(cols + k + 4));
-      x_lo = _mm256_i32gather_pd(x, idx_lo, 8);
-      x_hi = _mm256_i32gather_pd(x, idx_hi, 8);
+      x_lo = _mm256_i32gather_pd(x, _mm256_castsi256_si128(idx), 8);
+      x_hi = _mm256_i32gather_pd(x, _mm256_extracti128_si256(idx, 1), 8);
     }
     acc_lo = _mm256_add_pd(acc_lo, _mm256_mul_pd(_mm256_loadu_pd(vals + k),
                                                  x_lo));

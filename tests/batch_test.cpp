@@ -117,6 +117,52 @@ TEST(ManifestTest, RejectsBadValuesAndEmptyGrids) {
   EXPECT_THROW(parse_manifest("reps 0\n"), InvalidArgument);
 }
 
+/// The message of the InvalidArgument that parsing `text` throws.
+std::string manifest_error(const std::string& text) {
+  try {
+    (void)parse_manifest(text);
+  } catch (const InvalidArgument& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected InvalidArgument for: " << text;
+  return {};
+}
+
+TEST(ManifestTest, RejectsRepeatedGridValuesWithLineNumber) {
+  // A repeated value would expand the same job twice and print its row
+  // twice. Values compare after parsing, so "096" repeats "96".
+  for (const char* grid :
+       {"grid n 96 96 128\n", "grid n 96 128 096\n",
+        "grid algorithm ime cg ime\n", "grid layout full full\n",
+        "grid seed 3 3\n", "grid power_cap_w 0 0.0\n",
+        "grid matrix stencil5 stencil5\n", "grid precond none none\n",
+        "grid precision fp64 fp64\n", "grid ranks 4 4\n", "grid nb 8 8\n"}) {
+    const std::string what =
+        manifest_error("campaign dup\n" + std::string(grid));
+    EXPECT_NE(what.find("line 2"), std::string::npos) << grid << what;
+    EXPECT_NE(what.find("repeats"), std::string::npos) << grid << what;
+  }
+  EXPECT_EQ(parse_manifest("grid n 96 128\n").expand().size(), 2u);
+}
+
+TEST(ManifestTest, RejectsSeedsOutsideTheExactJsonRange) {
+  // Seeds travel as JSON numbers: -1 would wrap to 2^64 - 1 and 2^60
+  // would round in the journal.
+  for (const char* seed : {"-1", "1152921504606846976", "9007199254740992"}) {
+    const std::string what =
+        manifest_error("campaign s\ngrid seed 1 " + std::string(seed) + "\n");
+    EXPECT_NE(what.find("line 2"), std::string::npos) << seed << what;
+    EXPECT_NE(what.find("2^53"), std::string::npos) << seed << what;
+  }
+  const CampaignManifest largest =
+      parse_manifest("grid seed 0 9007199254740991\n");
+  ASSERT_EQ(largest.seeds.size(), 2u);
+  EXPECT_EQ(largest.seeds[1], 9007199254740991ull);
+  EXPECT_EQ(checked_seed(0), 0u);
+  EXPECT_THROW(checked_seed(-1), InvalidArgument);
+  EXPECT_THROW(checked_seed(1L << 53), InvalidArgument);
+}
+
 TEST(ManifestTest, RejectsPowerCapsOnReplayTier) {
   EXPECT_THROW(
       parse_manifest("tier replay\nmachine marconi\ngrid power_cap_w 150\n"),

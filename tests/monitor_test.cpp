@@ -12,6 +12,7 @@
 #include "monitor/campaign.hpp"
 #include "monitor/monitoring.hpp"
 #include "monitor/white_box.hpp"
+#include "solvers/cg/cg.hpp"
 #include "solvers/ime/imep.hpp"
 #include "xmpi/runtime.hpp"
 
@@ -260,6 +261,93 @@ TEST(Campaign, ScalapackJobWorks) {
   spec.repetitions = 1;
   const JobResult result = run_job(machine, spec);
   EXPECT_LT(result.worst_residual(), 1e-12);
+}
+
+TEST(Campaign, CgJobModelTimeAndLedgerArePinned) {
+  // Recorded from the job path that checked CG residuals on a serially
+  // generated global system. The residual now comes from the ranks' own
+  // rows with no message and no compute charge, so neither the job's
+  // modelled duration nor the ledger joules of the same solve may move by a
+  // bit. n = 301 gives uneven row chunks at 3 and 16 ranks.
+  struct Pinned {
+    sparse::SparseKind kind;
+    int ranks;
+    double duration_s;
+    double ledger_j;
+  };
+  const Pinned pinned[] = {
+      {sparse::SparseKind::kStencil5, 1, 0x1.a2a36c953da94p-16,
+       0x1.a7e46fcea32bcp-9},
+      {sparse::SparseKind::kStencil5, 3, 0x1.2d50fe17c60d3p-13,
+       0x1.0a131ae1e0794p-6},
+      {sparse::SparseKind::kStencil5, 16, 0x1.cd7adf6457bf1p-11,
+       0x1.adc205ed2a1fcp-3},
+      {sparse::SparseKind::kStencil9, 1, 0x1.4b210dbed794p-15,
+       0x1.4f7c983b7c815p-8},
+      {sparse::SparseKind::kStencil9, 3, 0x1.789daefdb30b6p-13,
+       0x1.514d167c317a6p-6},
+      {sparse::SparseKind::kStencil9, 16, 0x1.0f8a91f8209bfp-10,
+       0x1.fb41c06bdbc5cp-3},
+      {sparse::SparseKind::kStencil27, 1, 0x1.4074bd192872ap-14,
+       0x1.44ef6e80b825ap-7},
+      {sparse::SparseKind::kStencil27, 3, 0x1.f63457d405001p-13,
+       0x1.cdaf9531928b4p-6},
+      {sparse::SparseKind::kStencil27, 16, 0x1.26bcbaa0c29e8p-10,
+       0x1.1454b4199124p-2},
+      {sparse::SparseKind::kBanded, 1, 0x1.1acdc220acd48p-15,
+       0x1.1eb957abe1bbap-8},
+      {sparse::SparseKind::kBanded, 3, 0x1.d49955ef2350ep-14,
+       0x1.a7318e5a2dc5bp-7},
+      {sparse::SparseKind::kBanded, 16, 0x1.2d5dde2ba65c8p-11,
+       0x1.1795aef0f7fbcp-3},
+      {sparse::SparseKind::kRandom, 1, 0x1.5c397247fc79bp-15,
+       0x1.610aabdc6591fp-8},
+      {sparse::SparseKind::kRandom, 3, 0x1.23e4bf92669d7p-13,
+       0x1.08c663594f052p-6},
+      {sparse::SparseKind::kRandom, 16, 0x1.7be01ccc18c1fp-11,
+       0x1.61bcd8a27bd2dp-3},
+      {sparse::SparseKind::kBlockDiag, 1, 0x1.5a849cc93addcp-14,
+       0x1.5f9782e2b167cp-7},
+      {sparse::SparseKind::kBlockDiag, 3, 0x1.45a8f5e7d71f6p-13,
+       0x1.372d52c8dd356p-6},
+      {sparse::SparseKind::kBlockDiag, 16, 0x1.15df51a2ad4ap-11,
+       0x1.03f0b89f6cffcp-3},
+  };
+  const hw::MachineSpec machine = hw::mini_cluster(8, 4);
+  for (const Pinned& p : pinned) {
+    JobSpec spec;
+    spec.algorithm = perfsim::Algorithm::kCg;
+    spec.matrix = p.kind;
+    spec.n = 301;
+    spec.ranks = p.ranks;
+    spec.seed = 5;
+    spec.repetitions = 1;
+    const JobResult job = run_job(machine, spec);
+    const std::string where = spec.describe();
+    EXPECT_EQ(job.repetitions[0].measurement.duration_s, p.duration_s)
+        << where << std::hexfloat << " duration "
+        << job.repetitions[0].measurement.duration_s;
+    EXPECT_LT(job.worst_residual(), 1e-12) << where;
+
+    // The ledger of the same solve, run without the monitor: a monitored
+    // run's ledger also covers the report gather after the measured
+    // window, whose virtual time varies with host scheduling.
+    xmpi::RunConfig config;
+    config.machine = machine;
+    config.placement =
+        hw::make_placement(p.ranks, hw::LoadLayout::kFullLoad, machine);
+    const xmpi::RunResult run =
+        xmpi::Runtime::run(config, [&](xmpi::Comm& comm) {
+          solvers::CgOptions options;
+          options.kind = p.kind;
+          options.n = spec.n;
+          options.seed = spec.seed;
+          options.tolerance = spec.tolerance;
+          (void)solvers::solve_pcg(comm, options);
+        });
+    EXPECT_EQ(run.energy.total_j(), p.ledger_j)
+        << where << std::hexfloat << " ledger " << run.energy.total_j();
+  }
 }
 
 TEST(Campaign, TableAndCsvRender) {

@@ -91,7 +91,7 @@ TEST(ProfTest, DisabledRunsCarryNoTrace) {
   EXPECT_EQ(result.trace, nullptr);
 }
 
-TEST(ProfTest, CanonicalBytesIdenticalAcrossWorkersAndExecutors) {
+TEST(ProfTest, CanonicalBytesIdenticalAcrossWorkers) {
   xmpi::RunConfig config = mini_config(12);
 
   config.workers = 1;

@@ -336,6 +336,17 @@ TEST(EngineTest, CooperativeTimeoutDiscardsSlowJobs) {
   const JobOutcome outcome = engine.wait(spec.key());
   EXPECT_FALSE(outcome.ok);
   EXPECT_NE(outcome.error.find("timeout"), std::string::npos);
+  // "(5.07 ms > 1.00 ns)": the elapsed time and the budget, each with its
+  // own unit prefix.
+  const std::size_t open = outcome.error.find('(');
+  const std::size_t gt = outcome.error.find(" > 1.00 ns)");
+  ASSERT_NE(open, std::string::npos) << outcome.error;
+  ASSERT_NE(gt, std::string::npos) << outcome.error;
+  const std::string elapsed = outcome.error.substr(open + 1, gt - open - 1);
+  EXPECT_TRUE(elapsed.ends_with(" ms") || elapsed.ends_with(" s"))
+      << outcome.error;
+  EXPECT_NE(elapsed.find_first_of("123456789"), std::string::npos)
+      << outcome.error;
   EXPECT_GT(engine.stats().timeouts, 0u);
   EXPECT_FALSE(store.contains(spec.key()));  // over-budget result discarded
 }

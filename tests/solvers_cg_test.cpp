@@ -118,7 +118,7 @@ CgRun run_cg(const xmpi::RunConfig& config, std::size_t n,
   return out;
 }
 
-TEST(CgDeterminism, BitIdenticalAcrossExecutorsWorkersAndCollectives) {
+TEST(CgDeterminism, BitIdenticalAcrossWorkersAndCollectives) {
   const std::size_t n = 160;
   const int ranks = 8;
 
@@ -349,6 +349,54 @@ TEST(CgKernel, SimdKernelKeepsTheDeterminismContract) {
     ASSERT_EQ(other.x.size(), n);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(other.x[i], reference.x[i]) << "x[" << i << "]";
+    }
+  }
+  sparse::reset_spmv_config();
+}
+
+TEST(CgResidual, RankLocalMaximaMatchTheGlobalResidualBitwise) {
+  // Each rank evaluates the residual maxima of its own rows; merged over
+  // the ranks they must be bitwise the serial check on the global system,
+  // under both SpMV kernels. n = 301 splits unevenly at 3 and 16 ranks.
+  const std::size_t n = 301;
+  const std::uint64_t seed = 23;
+  const std::vector<double> b = linalg::generate_rhs(seed, n);
+  for (const sparse::SpmvKernel kernel :
+       {sparse::SpmvKernel::kScalar, sparse::SpmvKernel::kSimd}) {
+    sparse::SpmvConfig spmv_config;
+    spmv_config.kernel = kernel;
+    sparse::set_spmv_config(spmv_config);
+    for (const SparseKind kind :
+         {SparseKind::kStencil5, SparseKind::kStencil9,
+          SparseKind::kStencil27, SparseKind::kBanded, SparseKind::kRandom,
+          SparseKind::kBlockDiag}) {
+      const sparse::CsrMatrix a = sparse::generate_matrix(kind, seed, n);
+      for (const int ranks : {1, 3, 16}) {
+        SCOPED_TRACE(std::string(sparse::kind_token(kind)) + " ranks=" +
+                     std::to_string(ranks) + " " +
+                     sparse::kernel_token(kernel));
+        std::vector<sparse::ResidualMaxima> parts(
+            static_cast<std::size_t>(ranks));
+        std::vector<double> x;
+        xmpi::Runtime::run(mini_config(ranks), [&](xmpi::Comm& comm) {
+          CgOptions options;
+          options.kind = kind;
+          options.n = n;
+          options.seed = seed;
+          const CgResult r = solve_pcg(comm, options);
+          parts[static_cast<std::size_t>(comm.rank())] = r.residual;
+          if (comm.rank() == 0) x = r.x;
+        });
+        sparse::ResidualMaxima merged;
+        for (const sparse::ResidualMaxima& part : parts) merged.merge(part);
+        const sparse::ResidualMaxima global =
+            sparse::residual_maxima(a, x, b);
+        EXPECT_EQ(merged.residual, global.residual);
+        EXPECT_EQ(merged.row_sum, global.row_sum);
+        EXPECT_EQ(merged.x, global.x);
+        EXPECT_EQ(merged.scaled(n), sparse::scaled_residual(a, x, b));
+        EXPECT_GT(merged.residual, 0.0);
+      }
     }
   }
   sparse::reset_spmv_config();

@@ -3,7 +3,10 @@
 // the CG workload family, and the Matrix Market round trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iterator>
 #include <sstream>
 
 #include "sparse/csr.hpp"
@@ -244,6 +247,112 @@ TEST(GeneratorTest, RandomPatternIsSeedIndependent) {
   EXPECT_NE(a.values, b.values);    // ...different values
 }
 
+/// FNV-1a over 64-bit words: row lengths, columns and value bits, row by
+/// row — independent of how the rows were split into blocks.
+struct RowDigest {
+  std::uint64_t hash = 14695981039346656037ull;
+  void add(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  }
+  void add_rows(const CsrMatrix& a) {
+    for (std::size_t r = 0; r < a.rows; ++r) {
+      add(a.row_ptr[r + 1] - a.row_ptr[r]);
+      for (std::size_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &a.values[k], sizeof(bits));
+        add(a.col_idx[k]);
+        add(bits);
+      }
+    }
+  }
+};
+
+TEST(GeneratorTest, OutputMatchesPinnedDigests) {
+  // Digests of generate_matrix(kind, 0x5EED, n), recorded from the
+  // reference (sort-per-row) generator; any change to a row length, a
+  // column or a value bit changes them.
+  struct Pinned {
+    SparseKind kind;
+    std::size_t n;
+    std::uint64_t digest;
+  };
+  const Pinned pinned[] = {
+      {SparseKind::kStencil5, 1, 0x5e5a3d9b45873af9ull},
+      {SparseKind::kStencil5, 2, 0x43c8a14024c43009ull},
+      {SparseKind::kStencil5, 3, 0xe4806f0eaff461f6ull},
+      {SparseKind::kStencil5, 17, 0xedabdd7d9f438c35ull},
+      {SparseKind::kStencil5, 1000, 0x8ab3d1daba630087ull},
+      {SparseKind::kStencil5, 4097, 0x49f6182761f84935ull},
+      {SparseKind::kStencil5, 16384, 0xa352a1be40032189ull},
+      {SparseKind::kStencil9, 1, 0x5e5a3d9b45873af9ull},
+      {SparseKind::kStencil9, 2, 0x43c8a14024c43009ull},
+      {SparseKind::kStencil9, 3, 0x24e25dbc94a0bc65ull},
+      {SparseKind::kStencil9, 17, 0xab605791cdaea197ull},
+      {SparseKind::kStencil9, 1000, 0xa259ad29010a149eull},
+      {SparseKind::kStencil9, 4097, 0x850e51a89bfd46d3ull},
+      {SparseKind::kStencil9, 16384, 0x2dab6d9fb2ac9fe9ull},
+      {SparseKind::kStencil27, 1, 0x5e5a3d9b45873af9ull},
+      {SparseKind::kStencil27, 2, 0x43c8a14024c43009ull},
+      {SparseKind::kStencil27, 3, 0x24e25dbc94a0bc65ull},
+      {SparseKind::kStencil27, 17, 0xad256501b1861313ull},
+      {SparseKind::kStencil27, 1000, 0xeda96a85a56fa378ull},
+      {SparseKind::kStencil27, 4097, 0x90358f07102a544eull},
+      {SparseKind::kStencil27, 16384, 0x92f8db67e8df6b71ull},
+      {SparseKind::kBanded, 1, 0x5e5a3d9b45873af9ull},
+      {SparseKind::kBanded, 2, 0x070996e0ca8f1b29ull},
+      {SparseKind::kBanded, 3, 0xe35b1a3179ee38beull},
+      {SparseKind::kBanded, 17, 0xbf354e0ceff0559bull},
+      {SparseKind::kBanded, 1000, 0x2ae5e5487b142f81ull},
+      {SparseKind::kBanded, 4097, 0xd77976d93e03b27full},
+      {SparseKind::kBanded, 16384, 0x2ea604556131c353ull},
+      {SparseKind::kRandom, 1, 0x5e5a3d9b45873af9ull},
+      {SparseKind::kRandom, 2, 0x05c0fe534e66b304ull},
+      {SparseKind::kRandom, 3, 0xbac3ab1862340821ull},
+      {SparseKind::kRandom, 17, 0x086b907e8f05b29eull},
+      {SparseKind::kRandom, 1000, 0x8578a9cb7fee2609ull},
+      {SparseKind::kRandom, 4097, 0x7481b09c9f775a16ull},
+      {SparseKind::kRandom, 16384, 0x8d49d12447019f85ull},
+      {SparseKind::kBlockDiag, 1, 0x5e5a3d9b45873af9ull},
+      {SparseKind::kBlockDiag, 2, 0x070996e0ca8f1b29ull},
+      {SparseKind::kBlockDiag, 3, 0xe35b1a3179ee38beull},
+      {SparseKind::kBlockDiag, 17, 0x67e26540c7d481ccull},
+      {SparseKind::kBlockDiag, 1000, 0x2bc6a8189fba7c8bull},
+      {SparseKind::kBlockDiag, 4097, 0xff380f4430afabc3ull},
+      {SparseKind::kBlockDiag, 16384, 0x690f2a5545eb02b4ull},
+  };
+  // Blocks that straddle grid rows, grid planes and the 64-row blockdiag
+  // blocks, in no fixed relation to any rank chunk.
+  const std::size_t block_sizes[] = {5, 63, 1, 129, 1023};
+  for (const Pinned& p : pinned) {
+    const CsrMatrix full = generate_matrix(p.kind, 0x5EED, p.n);
+    full.validate();
+    RowDigest whole;
+    whole.add_rows(full);
+    EXPECT_EQ(whole.hash, p.digest)
+        << kind_token(p.kind) << " n=" << p.n << " digest 0x" << std::hex
+        << whole.hash;
+    EXPECT_EQ(full.nnz(), pattern_nnz(p.kind, p.n))
+        << kind_token(p.kind) << " n=" << p.n;
+
+    RowDigest blocks;
+    std::size_t next = 0;
+    for (std::size_t lo = 0; lo < p.n; ++next) {
+      const std::size_t hi =
+          std::min(p.n, lo + block_sizes[next % std::size(block_sizes)]);
+      const CsrMatrix block = generate_rows(p.kind, 0x5EED, p.n, lo, hi);
+      ASSERT_EQ(block.rows, hi - lo);
+      ASSERT_EQ(block.row_ptr.front(), 0u);
+      blocks.add_rows(block);
+      lo = hi;
+    }
+    EXPECT_EQ(blocks.hash, whole.hash)
+        << kind_token(p.kind) << " n=" << p.n;
+  }
+}
+
 TEST(GeneratorTest, TokensRoundTripAndRejectUnknown) {
   for (const SparseKind kind :
        {SparseKind::kStencil5, SparseKind::kStencil9, SparseKind::kStencil27,
@@ -317,6 +426,35 @@ TEST(SpmvKernelTest, SimdMatchesScalarToRoundingAndIsDeterministic) {
       EXPECT_EQ(simd_y[i], simd_y2[i]) << kind_token(kind) << " row " << i;
     }
   }
+}
+
+TEST(SpmvKernelTest, SimdReadsRowsWhoseColumnsDoNotIncrease) {
+  // The distributed CG remaps a rank's rows to [owned | ghosts], so a row
+  // may hold ghost slots before its owned columns. Here the first block's
+  // endpoints are 7 apart (12 and 19) although the block is not a run:
+  // only the gather reads the right x values. Integer data keeps every
+  // sum exact, so both kernels must give the plain dot product.
+  CsrMatrix a;
+  a.rows = 1;
+  a.cols = 32;
+  a.row_ptr = {0, 9};
+  a.col_idx = {12, 30, 31, 0, 1, 2, 3, 19, 5};
+  a.values = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0};
+  std::vector<double> x(a.cols);
+  for (std::size_t i = 0; i < a.cols; ++i) x[i] = static_cast<double>(i + 1);
+  double expected = 0.0;
+  for (std::size_t k = 0; k < a.values.size(); ++k) {
+    expected += a.values[k] * x[a.col_idx[k]];
+  }
+  for (const SpmvKernel kernel : {SpmvKernel::kScalar, SpmvKernel::kSimd}) {
+    SpmvConfig config;
+    config.kernel = kernel;
+    set_spmv_config(config);
+    std::vector<double> y(1, 0.0);
+    spmv(a, x, y);
+    EXPECT_EQ(y[0], expected) << kernel_token(kernel);
+  }
+  reset_spmv_config();
 }
 
 TEST(SpmvKernelTest, SpmvRowsPartitionReproducesFullSpmvBitwise) {

@@ -9,6 +9,7 @@
 // silently ignored).
 #include <iostream>
 
+#include "batch/spec.hpp"
 #include "hwmodel/machine.hpp"
 #include "hwmodel/placement.hpp"
 #include "monitor/campaign.hpp"
@@ -35,7 +36,7 @@ One-off modes:
   --ranks      MPI ranks (default 16 numeric / 576 replay)
   --layout     full (default) | half1 | half2
   --nb         ScaLAPACK block size (default 64 replay; 32 numeric)
-  --seed       generator seed (default 1)
+  --seed       generator seed in [0, 2^53) (default 1)
   --reps       numeric repetitions (default 1)
   --precision  fp64 (default) | mixed (fp32 factorization + fp64 iterative
                refinement; scalapack only — docs/mixed_precision.md; the
@@ -131,6 +132,8 @@ int run_numeric(const CliArgs& args) {
   const perfsim::Algorithm algorithm =
       batch::parse_algorithm_token(args.get("algorithm", "ime"));
 
+  const std::uint64_t seed = batch::checked_seed(args.get_int("seed", 1));
+
   if (algorithm == perfsim::Algorithm::kJacobi) {
     xmpi::RunConfig config;
     config.machine = machine;
@@ -141,7 +144,7 @@ int run_numeric(const CliArgs& args) {
         xmpi::Runtime::run(config, [&](xmpi::Comm& comm) {
           solvers::JacobiOptions options;
           options.n = n;
-          options.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+          options.seed = seed;
           options.tolerance = args.get_double("tol", 1e-12);
           options.dominance = args.get_double("dominance", 0.0);
           const solvers::JacobiResult r = solve_pjacobi(comm, options);
@@ -165,7 +168,7 @@ int run_numeric(const CliArgs& args) {
   spec.n = n;
   spec.ranks = ranks;
   spec.layout = layout;
-  spec.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  spec.seed = seed;
   spec.nb = static_cast<std::size_t>(args.get_int("nb", 32));
   spec.repetitions = static_cast<int>(args.get_int("reps", 1));
   spec.precision =
