@@ -1,30 +1,17 @@
-// CG fast-path harness: gates the three layers of the sparse CG hot-loop
-// optimization (docs/sparse.md).
+// CG fast-path harness: gates the default fused CG path against the
+// blocking reference (docs/sparse.md).
 //
-//   1. overlap bit-identity — the halo/compute overlap path (interior SpMV
-//      under an in-flight halo, boundary rows after wait_all) must
-//      reproduce the blocking reference solve bitwise: same solution bits,
-//      same iteration count, at the bench's rank count.
-//   2. end-to-end iteration speedup — at the latency-dominated smoke point
+//   1. end-to-end iteration speedup — at the latency-dominated smoke point
 //      (small rows-per-rank, so the allreduce rounds dominate the simulated
-//      iteration) the default fused path (overlap + fused collectives) must
-//      beat the blocking shape by >= 1.3x per iteration of virtual time.
-//      The full-mode point is 4x larger, SpMV-dominated, and reports the
-//      (legitimately smaller, Amdahl-bounded) speedup without gating it.
-//      Both run at tolerance 1e-7: above relative residual 1e-6 the
-//      fused recurrence is trusted and every iteration is a single round
-//      (the residual-replacement guard in solvers/cg/cg.hpp re-measures
-//      below that, which would re-add rounds a tolerance-1e-11 run pays).
-//   3. SIMD SpMV kernel — the 8-lane kSimd kernel against the kScalar
-//      reference on a host wall-clock microbenchmark over the blockdiag
-//      family (dense 64-wide rows, the kernel's best case and the reason
-//      the family exists). The floor is ISA-aware — 2x where the AVX-512
-//      path dispatches, 1.2x for the AVX2/generic fallbacks — and
-//      bandwidth-aware: a pure-streaming probe over the same bytes
-//      (values + column indices) measures the host's attainable ceiling,
-//      and on machines where even a perfect kernel could not reach the ISA
-//      floor (SpMV at this size is memory-bound by design — that is the
-//      family's whole point) the gate drops to 75% of that ceiling.
+//      iteration) the default fused path (overlapped halo + fused
+//      collectives) must beat the blocking shape by >= 1.3x per iteration
+//      of virtual time. The full-mode point is 4x larger, SpMV-dominated,
+//      and reports the (legitimately smaller, Amdahl-bounded) speedup
+//      without gating it. Both run at tolerance 1e-7: above relative
+//      residual 1e-6 the fused recurrence is trusted and every iteration
+//      is a single round (the residual-replacement guard in
+//      solvers/cg/cg.hpp re-measures below that, which would re-add rounds
+//      a tolerance-1e-11 run pays).
 //
 // It also replays the speedup point through the perfsim CG model and
 // checks the predicted per-iteration time against the executed one within
@@ -32,8 +19,7 @@
 //
 // Everything lands in BENCH_cg.json (schema powerlin-bench-cg/v1). The
 // virtual-time fields are fully deterministic and compared exactly against
-// the checked-in smoke baseline under --check; the host wall-clock SpMV
-// timings are machine-dependent and only floor-gated, never baselined.
+// the checked-in smoke baseline under --check.
 //
 // Flags:
 //   --smoke           CI sizes (speedup point n=4Ki) instead of n=16Ki
@@ -42,12 +28,8 @@
 //                     the checked-in smoke baseline
 //   --out=PATH        JSON output path (default BENCH_cg.json)
 //   --baseline=PATH   checked-in BENCH_cg_smoke.json to compare against
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
-#include <vector>
 
 #include "harness.hpp"
 
@@ -56,8 +38,6 @@
 #include "perfsim/simulator.hpp"
 #include "solvers/cg/cg.hpp"
 #include "sparse/generate.hpp"
-#include "sparse/spmv_kernel.hpp"
-#include "support/stopwatch.hpp"
 #include "xmpi/runtime.hpp"
 
 namespace {
@@ -68,7 +48,6 @@ constexpr int kRanks = 8;
 constexpr double kTolerance = 1e-7;  // keeps the fused bulk at one round
 
 struct CgRun {
-  std::vector<double> x;
   int iters = 0;
   double duration_s = 0.0;
   double iter_s = 0.0;  // duration / iterations
@@ -91,67 +70,11 @@ CgRun run_path(std::size_t n, solvers::CgPath path) {
         options.tolerance = kTolerance;
         options.path = path;
         const solvers::CgResult r = solve_pcg(comm, options);
-        if (comm.rank() == 0) {
-          out.x = r.x;
-          out.iters = r.iterations;
-        }
+        if (comm.rank() == 0) out.iters = r.iterations;
       });
   out.duration_s = run.duration_s;
   out.iter_s = out.iters > 0 ? run.duration_s / out.iters : 0.0;
   return out;
-}
-
-/// Best-of-reps host seconds for `sweeps` back-to-back SpMVs under the
-/// given kernel (the result sum is returned through *sink so the loop
-/// cannot be optimized away).
-double time_spmv(const sparse::CsrMatrix& a, const std::vector<double>& x,
-                 sparse::SpmvKernel kernel, int sweeps, double* sink) {
-  sparse::SpmvConfig config;
-  config.kernel = kernel;
-  sparse::set_spmv_config(config);
-  std::vector<double> y(a.rows);
-  spmv(a, x, y);  // warm the caches and the page tables
-  double best = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
-    Stopwatch wall;
-    for (int s = 0; s < sweeps; ++s) spmv(a, x, y);
-    best = std::min(best, wall.elapsed_s());
-  }
-  sparse::reset_spmv_config();
-  for (const double v : y) *sink += v;
-  return best / sweeps;
-}
-
-/// Best-of-reps host seconds to stream the bytes one SpMV sweep reads
-/// (values + column indices), with 8-lane integer sums — no arithmetic
-/// bottleneck, so this is the host's attainable memory ceiling for the
-/// kernel working set.
-double time_stream_floor(const sparse::CsrMatrix& a, std::uint64_t* sink) {
-  const std::size_t val_words = a.values.size();
-  const std::size_t col_words = a.col_idx.size() / 2;  // u32 pairs as u64
-  const unsigned char* vals =
-      reinterpret_cast<const unsigned char*>(a.values.data());
-  const unsigned char* cols =
-      reinterpret_cast<const unsigned char*>(a.col_idx.data());
-  double best = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
-    Stopwatch wall;
-    std::uint64_t acc[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    for (const auto& [base, words] :
-         {std::pair{vals, val_words}, std::pair{cols, col_words}}) {
-      std::size_t w = 0;
-      for (; w + 8 <= words; w += 8) {
-        for (int l = 0; l < 8; ++l) {
-          std::uint64_t word;
-          std::memcpy(&word, base + (w + l) * 8, 8);
-          acc[l] += word;
-        }
-      }
-    }
-    for (const std::uint64_t v : acc) *sink += v;
-    best = std::min(best, wall.elapsed_s());
-  }
-  return best;
 }
 
 }  // namespace
@@ -168,16 +91,8 @@ int main(int argc, char** argv) {
   std::printf("bench_cg: stencil5 n=%zu, %d ranks, tol %g (%s)\n", n, kRanks,
               kTolerance, smoke ? "smoke" : "full");
 
-  // --- 1. overlap bit-identity -------------------------------------------
+  // --- 1. end-to-end iteration speedup -----------------------------------
   const CgRun blocking = run_path(n, solvers::CgPath::kBlocking);
-  const CgRun overlap = run_path(n, solvers::CgPath::kOverlap);
-  const bool bit_identical =
-      overlap.iters == blocking.iters && overlap.x == blocking.x;
-  std::printf("  overlap:  %s blocking (%d iters)\n",
-              bit_identical ? "bit-identical to" : "DIVERGED from",
-              blocking.iters);
-
-  // --- 2. end-to-end iteration speedup -----------------------------------
   const CgRun fused = run_path(n, solvers::CgPath::kFused);
   const double speedup =
       fused.iter_s > 0.0 ? blocking.iter_s / fused.iter_s : 0.0;
@@ -186,35 +101,7 @@ int main(int argc, char** argv) {
   std::printf("  fused:    %8.3f us/iter (%d iters) -> %.2fx\n",
               fused.iter_s * 1e6, fused.iters, speedup);
 
-  // --- 3. SIMD SpMV kernel (host wall clock) -----------------------------
-  const std::size_t spmv_n = 65536;
-  const sparse::CsrMatrix a =
-      sparse::generate_matrix(sparse::SparseKind::kBlockDiag, 1, spmv_n);
-  std::vector<double> x(spmv_n);
-  for (std::size_t i = 0; i < spmv_n; ++i) {
-    x[i] = std::sin(static_cast<double>(i) * 0.11) + 1.5;
-  }
-  double sink = 0.0;
-  const double scalar_s =
-      time_spmv(a, x, sparse::SpmvKernel::kScalar, /*sweeps=*/8, &sink);
-  const double simd_s =
-      time_spmv(a, x, sparse::SpmvKernel::kSimd, /*sweeps=*/8, &sink);
-  const double spmv_speedup = simd_s > 0.0 ? scalar_s / simd_s : 0.0;
-  const std::string isa = sparse::simd_isa();
-  const double isa_floor = isa == "avx512" ? 2.0 : 1.2;
-  std::uint64_t stream_sink = 0;
-  const double stream_s = time_stream_floor(a, &stream_sink);
-  // The best any kernel streaming these bytes can do over the scalar
-  // reference on this host (memory-bound by design at this size).
-  const double attainable = stream_s > 0.0 ? scalar_s / stream_s : isa_floor;
-  const double spmv_floor = std::min(isa_floor, 0.75 * attainable);
-  std::printf("  spmv n=%zu nnz=%zu (%s): scalar %.3f ms, simd %.3f ms -> "
-              "%.2fx (stream ceiling %.2fx, floor %.2fx)%s\n",
-              spmv_n, a.nnz(), isa.c_str(), scalar_s * 1e3, simd_s * 1e3,
-              spmv_speedup, attainable, spmv_floor,
-              sink == 1e300 && stream_sink == 1 ? "!" : "");
-
-  // --- 4. perfsim replay envelope ----------------------------------------
+  // --- 2. perfsim replay envelope ----------------------------------------
   const hw::MachineSpec machine = hw::mini_cluster(2, 4);
   const perfsim::Simulator simulator(machine);
   perfsim::Workload workload;
@@ -241,36 +128,21 @@ int main(int argc, char** argv) {
   report.set("blocking_iters", blocking.iters);
   report.set("blocking_s", blocking.duration_s);
   report.set("blocking_iter_s", blocking.iter_s);
-  report.set("overlap_s", overlap.duration_s);
   report.set("fused_iters", fused.iters);
   report.set("fused_s", fused.duration_s);
   report.set("fused_iter_s", fused.iter_s);
   report.set("speedup", speedup);
-  report.set("bit_identical", bit_identical);
-  report.set("simd_isa", isa);
-  report.set("spmv_scalar_s", scalar_s);
-  report.set("spmv_simd_s", simd_s);
-  report.set("spmv_speedup", spmv_speedup);
-  report.set("spmv_stream_s", stream_s);
-  report.set("spmv_attainable", attainable);
-  report.set("spmv_floor", spmv_floor);
   report.set("predicted_iter_s", predicted_iter_s);
   report.set("model_ratio", model_ratio);
   bench::Gates gates;
   bench::write_report(out_path, report, gates);
 
   if (check) {
-    gates.record("overlap-bit-identical", bit_identical,
-                 "overlap path is not bit-identical to blocking");
     if (smoke) {
       gates.record("fused-speedup>=1.3x", speedup >= 1.3,
                    bench::describe("fused iteration speedup ", speedup,
                                    "x at the latency-dominated smoke point"));
     }
-    gates.record("simd-spmv>=floor", spmv_speedup >= spmv_floor,
-                 bench::describe("simd spmv speedup ", spmv_speedup,
-                                 "x below the ", spmv_floor, "x floor (", isa,
-                                 ", stream ceiling ", attainable, "x)"));
     gates.record("model-envelope-3x",
                  !(model_ratio > 3.0 ||
                    (model_ratio > 0.0 && model_ratio < 1.0 / 3.0)),
@@ -283,7 +155,6 @@ int main(int argc, char** argv) {
       baseline.compare("blocking_iters", blocking.iters, bench::kExact);
       baseline.compare("fused_iters", fused.iters, bench::kExact);
       baseline.compare("blocking_s", blocking.duration_s, bench::within(1e-5));
-      baseline.compare("overlap_s", overlap.duration_s, bench::within(1e-5));
       baseline.compare("fused_s", fused.duration_s, bench::within(1e-5));
     }
   }

@@ -34,8 +34,8 @@ namespace {
 
 using namespace plin;
 
-/// The bench_xmpi acceptance workload: collective-dense, so every hop
-/// crosses the runtime hooks the recorder instruments.
+/// Spawn plus collectives: collective-dense, so every hop crosses the
+/// runtime hooks the recorder instruments.
 void spawn_collective(xmpi::Comm& comm) {
   double value = comm.rank() == 0 ? 1.5 : 0.0;
   for (int round = 0; round < 4; ++round) {

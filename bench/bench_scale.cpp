@@ -47,7 +47,7 @@ namespace {
 
 using namespace plin;
 
-/// Same mini-cluster shape as bench_xmpi (100000 ranks => 6250 nodes).
+/// The full-load mini-cluster shape (100000 ranks => 6250 nodes).
 xmpi::RunConfig scale_config(int ranks) {
   xmpi::RunConfig config = bench::full_load_config(ranks);
   // The whole point of this harness: the scalable schedule family at a

@@ -1,6 +1,6 @@
 // Plumbing shared by the perf harnesses (bench_batch, bench_cg,
 // bench_collectives, bench_kernels, bench_mixed, bench_prof, bench_scale,
-// bench_serve, bench_sparse, bench_xmpi): flag parsing, the JSON report,
+// bench_serve, bench_sparse): flag parsing, the JSON report,
 // pass/fail gates and the checked-in baselines under bench/baselines/.
 //
 // A harness parses its flags with parse_flags, fills the object from

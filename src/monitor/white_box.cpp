@@ -1,6 +1,8 @@
 #include "monitor/white_box.hpp"
 
 #include <algorithm>
+#include <map>
+#include <vector>
 
 #include "support/error.hpp"
 
@@ -55,6 +57,20 @@ void aggregate(RunMeasurement& measurement) {
       measurement.dram_j[p] += report.dram_j[p];
     }
   }
+}
+
+/// The monitoring ranks of `comm`, ascending: the highest rank on each
+/// node, as split_shared_node orders a node's ranks by their rank here.
+std::vector<int> monitoring_ranks(const xmpi::Comm& comm) {
+  std::map<int, int> highest;  // node -> highest rank on it
+  for (int r = 0; r < comm.size(); ++r) {
+    highest[comm.world().layout().node_of(comm.world_rank_of(r))] = r;
+  }
+  std::vector<int> ranks;
+  ranks.reserve(highest.size());
+  for (const auto& [node, rank] : highest) ranks.push_back(rank);
+  std::sort(ranks.begin(), ranks.end());
+  return ranks;
 }
 
 PhasedMeasurement run_phases_protocol(xmpi::Comm& world,
@@ -144,14 +160,22 @@ PhasedMeasurement run_phases_protocol(xmpi::Comm& world,
   }
 
   if (world.rank() == 0) {
+    // Receive from each monitoring rank by source, in ascending rank order:
+    // the order of the receives moves rank 0's virtual clock, so taking
+    // reports as the host happens to deliver them would make the run's
+    // duration and energy depend on host scheduling.
+    const std::vector<int> monitors = monitoring_ranks(world);
+    PLIN_CHECK_MSG(static_cast<int>(monitors.size()) == monitor_count,
+                   "monitoring ranks disagree with the node layout");
     std::vector<std::vector<NodeReport>> all;
-    all.reserve(static_cast<std::size_t>(monitor_count));
-    if (monitoring) all.push_back(mine);
-    const int remote = monitor_count - (monitoring ? 1 : 0);
+    all.reserve(monitors.size());
     std::vector<NodeReport> incoming(1 + nphases);
-    for (int i = 0; i < remote; ++i) {
-      world.recv(std::span<NodeReport>(incoming), xmpi::kAnySource,
-                 kTagReport);
+    for (const int source : monitors) {
+      if (source == 0) {
+        all.push_back(mine);
+        continue;
+      }
+      world.recv(std::span<NodeReport>(incoming), source, kTagReport);
       all.push_back(incoming);
     }
     std::sort(all.begin(), all.end(),

@@ -34,7 +34,7 @@ inline constexpr bool kCompiledIn = true;
 #endif
 
 /// Default span-ring capacity per rank; override via
-/// RunConfig::trace_ring_spans or the PLIN_TRACE_SPANS environment variable.
+/// RunConfig::trace_ring_spans.
 inline constexpr std::size_t kDefaultRingSpans = std::size_t{1} << 16;
 
 class SpanRecorder {

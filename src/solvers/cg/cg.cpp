@@ -49,12 +49,7 @@ std::vector<double> inverse_diagonal(const sparse::CsrMatrix& a,
 }  // namespace
 
 const char* path_token(CgPath path) {
-  switch (path) {
-    case CgPath::kBlocking: return "blocking";
-    case CgPath::kOverlap: return "overlap";
-    case CgPath::kFused: break;
-  }
-  return "fused";
+  return path == CgPath::kBlocking ? "blocking" : "fused";
 }
 
 CgResult solve_cg(const sparse::CsrMatrix& a, const std::vector<double>& b,
@@ -140,7 +135,6 @@ CgResult solve_pcg(xmpi::Comm& comm, const CgOptions& options) {
   PLIN_CHECK_MSG(n > 0, "cg: system dimension must be positive");
   PLIN_CHECK_MSG(options.tolerance > 0.0 && options.max_iterations > 0,
                  "cg: bad iteration controls");
-  const bool overlap = options.path != CgPath::kBlocking;
   const bool fused = options.path == CgPath::kFused;
   const bool jacobi = options.precond == CgPrecond::kJacobi;
   const int ranks = comm.size();
@@ -172,11 +166,19 @@ CgResult solve_pcg(xmpi::Comm& comm, const CgOptions& options) {
   comm.prof_phase_end();
 
   // -- halo negotiation -----------------------------------------------------
+  comm.prof_phase_begin("cg:halo-setup");
+  // The fused path's interior/boundary row split: a boundary row reads a
+  // ghost column. Computing a row in the interior pass or the boundary
+  // pass yields the same bits (spmv_rows keeps the per-row accumulation of
+  // the full spmv), so the split moves timing only. The remap below keeps
+  // the row order, so the split indexes the remapped rows too.
+  const sparse::RowSplit split =
+      fused ? sparse::split_rows(local, lo, hi) : sparse::RowSplit{};
+
   // Ghost columns: every off-block column the local rows reference, sorted
   // ascending. owner(col) = col / chunk is monotone in col, so the sorted
   // ghost list is contiguous per owning rank — each peer's values land in
   // one slice of the ghost region.
-  comm.prof_phase_begin("cg:halo-setup");
   std::vector<std::uint32_t> ghosts;
   for (const std::uint32_t col : local.col_idx) {
     if (col < lo || col >= hi) ghosts.push_back(col);
@@ -257,32 +259,6 @@ CgResult solve_pcg(xmpi::Comm& comm, const CgOptions& options) {
     out_peers.push_back(std::move(out));
   }
 
-  // Interior/boundary row split for the overlapped paths: a row is
-  // boundary iff it gathers from the ghost region (remapped columns
-  // >= local_rows). Computing a row in the interior pass or the boundary
-  // pass yields the same bits (spmv_rows keeps the per-row accumulation of
-  // the full spmv), so the split moves timing only.
-  std::vector<std::uint32_t> interior_rows;
-  std::vector<std::uint32_t> boundary_rows;
-  std::size_t nnz_boundary = 0;
-  if (overlap) {
-    for (std::size_t li = 0; li < local_rows; ++li) {
-      bool boundary = false;
-      for (std::size_t k = local.row_ptr[li]; k < local.row_ptr[li + 1];
-           ++k) {
-        if (local.col_idx[k] >= local_rows) {
-          boundary = true;
-          break;
-        }
-      }
-      if (boundary) {
-        boundary_rows.push_back(static_cast<std::uint32_t>(li));
-        nnz_boundary += local.row_ptr[li + 1] - local.row_ptr[li];
-      } else {
-        interior_rows.push_back(static_cast<std::uint32_t>(li));
-      }
-    }
-  }
   comm.prof_phase_end();
 
   // -- CG iteration ---------------------------------------------------------
@@ -370,21 +346,20 @@ CgResult solve_pcg(xmpi::Comm& comm, const CgOptions& options) {
   };
 
   const double nnz_total = static_cast<double>(local.nnz());
-  const double nnz_interior_d =
-      nnz_total - static_cast<double>(nnz_boundary);
+  const double nnz_boundary = static_cast<double>(split.boundary_nnz);
+  const double nnz_interior_d = nnz_total - nnz_boundary;
   // csr_spmv_bytes is linear in (nnz, rows), so the interior and boundary
   // charges sum exactly to the blocking path's single charge.
   const double bytes_interior = hw::csr_spmv_bytes(
-      nnz_interior_d, static_cast<double>(interior_rows.size()));
+      nnz_interior_d, static_cast<double>(split.interior.size()));
   const double bytes_boundary = hw::csr_spmv_bytes(
-      static_cast<double>(nnz_boundary),
-      static_cast<double>(boundary_rows.size()));
+      nnz_boundary, static_cast<double>(split.boundary.size()));
   const double bytes_spmv = hw::csr_spmv_bytes(
       nnz_total, static_cast<double>(local_rows));
 
   /// q = A p for one iteration, down the configured halo path.
   const auto apply_operator = [&] {
-    if (!overlap) {
+    if (!fused) {
       exchange_halo_blocking();
       comm.prof_phase_begin("cg:spmv");
       sparse::spmv(local, p_ext, q);
@@ -395,18 +370,15 @@ CgResult solve_pcg(xmpi::Comm& comm, const CgOptions& options) {
     }
     halo_post();
     comm.prof_phase_begin("cg:interior");
-    sparse::spmv_rows(local, p_ext, q,
-                      std::span<const std::uint32_t>(interior_rows));
+    sparse::spmv_rows(local, p_ext, q, split.interior);
     comm.compute(xmpi::ComputeCost{2.0 * nnz_interior_d, bytes_interior,
                                    kSpmv.efficiency});
     comm.prof_phase_end();
     halo_wait();
     comm.prof_phase_begin("cg:boundary");
-    sparse::spmv_rows(local, p_ext, q,
-                      std::span<const std::uint32_t>(boundary_rows));
-    comm.compute(xmpi::ComputeCost{
-        2.0 * static_cast<double>(nnz_boundary), bytes_boundary,
-        kSpmv.efficiency});
+    sparse::spmv_rows(local, p_ext, q, split.boundary);
+    comm.compute(xmpi::ComputeCost{2.0 * nnz_boundary, bytes_boundary,
+                                   kSpmv.efficiency});
     comm.prof_phase_end();
   };
 

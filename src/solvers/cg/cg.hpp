@@ -5,22 +5,22 @@
 //
 // The distributed solver owns contiguous row blocks (the same
 // chunk = ceil(n / P) arithmetic placement as Jacobi), generates its block
-// locally from (kind, seed, n), and runs the iteration down one of three
+// locally from (kind, seed, n), and runs the iteration down one of two
 // paths (CgPath below):
 //   - kBlocking: the reference shape — a fully blocking halo exchange
 //     before each SpMV, then separate scalar allreduces per dot product.
-//   - kOverlap: local rows are split once at setup into *interior* rows
-//     (touch no ghost column) and *boundary* rows; per iteration the halo
-//     irecv/isends are posted, the interior SpMV runs while the ghost
-//     values are in flight, and the boundary rows finish after wait_all.
-//     Per-row accumulation order is unchanged, so solution and iteration
-//     count are bit-identical to kBlocking at every P — only the simulated
-//     time (and hence energy) moves.
-//   - kFused (default): the overlapped halo plus *fused iteration
-//     collectives* — the per-iteration scalar allreduces collapse into one
-//     small-vector allreduce (element-wise, rank-order-preserving combine,
-//     so each element is bitwise the value the scalar round would have
-//     produced), and ||r||^2 advances by the standard recurrence
+//   - kFused (default): an overlapped halo plus *fused iteration
+//     collectives*. Local rows are split once at setup into *interior*
+//     rows (read no ghost column) and *boundary* rows
+//     (sparse::split_rows); per iteration the halo irecv/isends are
+//     posted, the interior SpMV runs while the ghost values are in flight,
+//     and the boundary rows finish after wait_all. Per-row accumulation
+//     order is unchanged, so the SpMV result is bitwise the blocking one —
+//     only the simulated time (and hence energy) moves. The per-iteration
+//     scalar allreduces collapse into one small-vector allreduce
+//     (element-wise, rank-order-preserving combine, so each element is
+//     bitwise the value the scalar round would have produced), and
+//     ||r||^2 advances by the standard recurrence
 //     rr' = rr - 2 a (r.q) + a^2 (q.q) instead of a second round. The
 //     recurrence carries a frozen eps * ||b||^2-scale rounding offset (the
 //     attainable-accuracy limit of single-reduction CG), so it is guarded
@@ -29,10 +29,9 @@
 //     rank takes the same branch because the recurrence inputs are
 //     replicated bitwise. The recurrence legitimately re-brackets the
 //     residual trajectory, so kFused may terminate +-1 iteration from the
-//     reference paths.
-// Every path honors the repo's determinism contract: at a fixed path and
-// fixed PLIN_SPARSE_KERNEL, results are bit-identical across worker
-// counts and collective modes.
+//     reference path.
+// Both paths honor the repo's determinism contract: at a fixed path,
+// results are bit-identical across worker counts and collective modes.
 #pragma once
 
 #include <cstdint>
@@ -46,10 +45,10 @@
 namespace plin::solvers {
 
 /// Which iteration shape solve_pcg runs (see the header comment). kFused
-/// is the default; kBlocking and kOverlap are the reference oracles.
-enum class CgPath { kBlocking, kOverlap, kFused };
+/// is the default; kBlocking is the reference oracle.
+enum class CgPath { kBlocking, kFused };
 
-/// "blocking" / "overlap" / "fused".
+/// "blocking" / "fused".
 const char* path_token(CgPath path);
 
 struct CgOptions {

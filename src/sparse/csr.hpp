@@ -47,9 +47,8 @@ struct CsrMatrix {
 CsrMatrix make_empty(std::size_t rows, std::size_t cols);
 
 /// y = A * x. x must have a.cols elements, y a.rows; throws otherwise.
-/// Sequential; routed through the runtime-selected kernel
-/// (spmv_kernel.hpp — scalar accumulator pairs by default, opt-in 8-lane
-/// SIMD via PLIN_SPARSE_KERNEL=simd).
+/// Sequential; the row sum is the one kernel in spmv_kernel.hpp (two
+/// accumulators over even/odd entry pairs).
 void spmv(const CsrMatrix& a, std::span<const double> x,
           std::span<double> y);
 

@@ -1,5 +1,6 @@
 #include "support/cli.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 
 #include "support/error.hpp"
@@ -36,12 +37,31 @@ std::string CliArgs::get(const std::string& name,
   return it == flags_.end() ? fallback : it->second;
 }
 
+namespace {
+
+/// Throws unless strtol/strtod consumed all of `text` (ending at `end`)
+/// without setting ERANGE; `kind` names what the flag should hold.
+void check_number(const std::string& name, const std::string& text,
+                  const char* end, const char* kind) {
+  if (end == text.c_str() || *end != '\0') {
+    throw InvalidArgument("flag --" + name + " is not " + kind + ": '" +
+                          text + "'");
+  }
+  if (errno == ERANGE) {
+    throw InvalidArgument("flag --" + name + " is out of range: '" + text +
+                          "'");
+  }
+}
+
+}  // namespace
+
 long CliArgs::get_int(const std::string& name, long fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
   char* end = nullptr;
+  errno = 0;
   const long value = std::strtol(it->second.c_str(), &end, 10);
-  PLIN_CHECK_MSG(end != it->second.c_str(), "flag --" + name + " not an int");
+  check_number(name, it->second, end, "an integer");
   return value;
 }
 
@@ -49,9 +69,9 @@ double CliArgs::get_double(const std::string& name, double fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
   char* end = nullptr;
+  errno = 0;
   const double value = std::strtod(it->second.c_str(), &end);
-  PLIN_CHECK_MSG(end != it->second.c_str(),
-                 "flag --" + name + " not a number");
+  check_number(name, it->second, end, "a number");
   return value;
 }
 

@@ -6,7 +6,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 
 #include "prof/export.hpp"
 #include "prof/recorder.hpp"
@@ -33,13 +32,6 @@ double EnergyReport::total_dram_j() const {
 
 namespace {
 
-/// Truthy environment flag: set and neither empty nor "0".
-bool env_flag(const char* name) {
-  const char* value = std::getenv(name);
-  return value != nullptr && *value != '\0' &&
-         std::string_view(value) != "0";
-}
-
 /// Reads a non-negative integer environment variable; `fallback` when
 /// unset or unparsable.
 std::size_t env_size_t(const char* name, std::size_t fallback) {
@@ -58,15 +50,14 @@ RunResult Runtime::run(const RunConfig& config, const RankMain& rank_main) {
   World world(config.machine, config.placement);
   world.configure_transport(config.transport);
 
-  // Tracing is requested explicitly, implied by an output path, or forced
-  // from the environment (PLIN_TRACE=1). set_tracing additionally requires
-  // prof::kCompiledIn; world.tracing() reports what actually happened.
+  // Tracing is requested explicitly or implied by an output path.
+  // set_tracing additionally requires prof::kCompiledIn; world.tracing()
+  // reports what actually happened.
   const bool want_trace = config.trace || !config.chrome_trace_path.empty() ||
-                          !config.trace_dir.empty() || env_flag("PLIN_TRACE");
-  const std::size_t ring_spans =
-      config.trace_ring_spans != 0
-          ? config.trace_ring_spans
-          : env_size_t("PLIN_TRACE_SPANS", prof::kDefaultRingSpans);
+                          !config.trace_dir.empty();
+  const std::size_t ring_spans = config.trace_ring_spans != 0
+                                     ? config.trace_ring_spans
+                                     : prof::kDefaultRingSpans;
   world.set_tracing(want_trace, ring_spans);
 
   RunResult result;

@@ -53,12 +53,12 @@ struct RunConfig {
   TransportConfig transport;
   /// Enables span tracing for this run even when no output path is set;
   /// the collected prof::TraceData is returned in RunResult::trace.
-  /// Tracing is also switched on by chrome_trace_path / trace_dir below or
-  /// by a truthy PLIN_TRACE environment variable (docs/tracing.md).
+  /// Tracing is also switched on by chrome_trace_path / trace_dir below
+  /// (docs/tracing.md).
   bool trace = false;
-  /// Per-rank span ring capacity; 0 → PLIN_TRACE_SPANS env, else
-  /// prof::kDefaultRingSpans. Phase brackets and per-peer counters are
-  /// exact regardless; only fine-grained spans are ring-bounded.
+  /// Per-rank span ring capacity; 0 → prof::kDefaultRingSpans. Phase
+  /// brackets and per-peer counters are exact regardless; only
+  /// fine-grained spans are ring-bounded.
   std::size_t trace_ring_spans = 0;
   /// If non-empty, the run's spans are written to this path as a
   /// chrome://tracing / Perfetto JSON file: one track per rank (grouped by

@@ -12,7 +12,6 @@
 #include "perfsim/simulator.hpp"
 #include "solvers/cg/cg.hpp"
 #include "sparse/generate.hpp"
-#include "sparse/spmv_kernel.hpp"
 #include "support/error.hpp"
 #include "xmpi/runtime.hpp"
 
@@ -187,25 +186,6 @@ TEST(CgDeterminism, SingleRankMatchesMultiRankTrajectory) {
   EXPECT_EQ(iteration_counts[1], iteration_counts[2]);
 }
 
-TEST(CgPaths, OverlapBitIdenticalToBlockingAtEveryP) {
-  // The tentpole contract: splitting each SpMV into interior + boundary
-  // rows around an in-flight halo must not move a single bit, at any rank
-  // count — including ragged blocks (160 % 3, 160 % 6, 160 % 12 != 0).
-  const std::size_t n = 160;
-  for (const int ranks : {1, 3, 6, 12}) {
-    const CgRun blocking = run_cg(mini_config(ranks), n, CgPath::kBlocking);
-    const CgRun overlap = run_cg(mini_config(ranks), n, CgPath::kOverlap);
-    EXPECT_EQ(overlap.iterations, blocking.iterations) << "P=" << ranks;
-    ASSERT_EQ(overlap.x.size(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(overlap.x[i], blocking.x[i])
-          << "P=" << ranks << " x[" << i << "]";
-    }
-    // Overlap must not be slower than the blocking schedule it hides.
-    EXPECT_LE(overlap.duration_s, blocking.duration_s) << "P=" << ranks;
-  }
-}
-
 TEST(CgPaths, FusedTracksBlockingWithinOneIteration) {
   // The fused recurrence legitimately re-brackets the residual trajectory;
   // the guarded residual replacement keeps it honest, so termination may
@@ -265,8 +245,7 @@ TEST(CgEdge, MoreRanksThanRowsConvergesOnEveryPath) {
   const sparse::CsrMatrix a =
       sparse::generate_matrix(SparseKind::kStencil5, 3, n);
   const std::vector<double> b = linalg::generate_rhs(3, n);
-  for (const CgPath path :
-       {CgPath::kBlocking, CgPath::kOverlap, CgPath::kFused}) {
+  for (const CgPath path : {CgPath::kBlocking, CgPath::kFused}) {
     CgResult result;
     xmpi::Runtime::run(mini_config(12), [&](xmpi::Comm& comm) {
       CgOptions options;
@@ -288,7 +267,7 @@ TEST(CgEdge, BlockDiagAlignedChunksSendNoHaloMessages) {
   // blockdiag couples rows only inside 64-row diagonal blocks; with the
   // chunk size a multiple of 64 (n = 256 over 4 ranks -> chunk 64) every
   // partition boundary falls between blocks, the halo is empty, and the
-  // overlap path's zero-message fast path must be exercised: no per-
+  // fused path's zero-message fast path must be exercised: no per-
   // iteration halo traffic at all.
   const std::size_t n = 256;
   CgResult result;
@@ -298,7 +277,7 @@ TEST(CgEdge, BlockDiagAlignedChunksSendNoHaloMessages) {
         options.kind = SparseKind::kBlockDiag;
         options.n = n;
         options.seed = 7;
-        options.path = CgPath::kOverlap;
+        options.path = CgPath::kFused;
         const CgResult r = solve_pcg(comm, options);
         EXPECT_TRUE(r.converged);
         if (comm.rank() == 0) result = r;
@@ -326,80 +305,42 @@ TEST(CgEdge, BlockDiagAlignedChunksSendNoHaloMessages) {
   EXPECT_LT(coupled.traffic.halo_bytes, coupled.traffic.data_bytes);
 }
 
-TEST(CgKernel, SimdKernelKeepsTheDeterminismContract) {
-  // The bit-identity contract is per kernel: with kSimd pinned, runtime
-  // knobs (workers, collective mode) must not move a bit either.
-  sparse::SpmvConfig config;
-  config.kernel = sparse::SpmvKernel::kSimd;
-  sparse::set_spmv_config(config);
-  const std::size_t n = 160;
-
-  xmpi::RunConfig base = mini_config(6);
-  base.workers = 2;
-  xmpi::RunConfig more_workers = mini_config(6);
-  more_workers.workers = 5;
-  xmpi::RunConfig scalable = mini_config(6);
-  scalable.transport.collectives = xmpi::CollectiveMode::kScalable;
-
-  const CgRun reference = run_cg(base, n);
-  ASSERT_EQ(reference.x.size(), n);
-  for (const xmpi::RunConfig& other_config : {more_workers, scalable}) {
-    const CgRun other = run_cg(other_config, n);
-    EXPECT_EQ(other.iterations, reference.iterations);
-    ASSERT_EQ(other.x.size(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(other.x[i], reference.x[i]) << "x[" << i << "]";
-    }
-  }
-  sparse::reset_spmv_config();
-}
-
 TEST(CgResidual, RankLocalMaximaMatchTheGlobalResidualBitwise) {
   // Each rank evaluates the residual maxima of its own rows; merged over
-  // the ranks they must be bitwise the serial check on the global system,
-  // under both SpMV kernels. n = 301 splits unevenly at 3 and 16 ranks.
+  // the ranks they must be bitwise the serial check on the global system.
+  // n = 301 splits unevenly at 3 and 16 ranks.
   const std::size_t n = 301;
   const std::uint64_t seed = 23;
   const std::vector<double> b = linalg::generate_rhs(seed, n);
-  for (const sparse::SpmvKernel kernel :
-       {sparse::SpmvKernel::kScalar, sparse::SpmvKernel::kSimd}) {
-    sparse::SpmvConfig spmv_config;
-    spmv_config.kernel = kernel;
-    sparse::set_spmv_config(spmv_config);
-    for (const SparseKind kind :
-         {SparseKind::kStencil5, SparseKind::kStencil9,
-          SparseKind::kStencil27, SparseKind::kBanded, SparseKind::kRandom,
-          SparseKind::kBlockDiag}) {
-      const sparse::CsrMatrix a = sparse::generate_matrix(kind, seed, n);
-      for (const int ranks : {1, 3, 16}) {
-        SCOPED_TRACE(std::string(sparse::kind_token(kind)) + " ranks=" +
-                     std::to_string(ranks) + " " +
-                     sparse::kernel_token(kernel));
-        std::vector<sparse::ResidualMaxima> parts(
-            static_cast<std::size_t>(ranks));
-        std::vector<double> x;
-        xmpi::Runtime::run(mini_config(ranks), [&](xmpi::Comm& comm) {
-          CgOptions options;
-          options.kind = kind;
-          options.n = n;
-          options.seed = seed;
-          const CgResult r = solve_pcg(comm, options);
-          parts[static_cast<std::size_t>(comm.rank())] = r.residual;
-          if (comm.rank() == 0) x = r.x;
-        });
-        sparse::ResidualMaxima merged;
-        for (const sparse::ResidualMaxima& part : parts) merged.merge(part);
-        const sparse::ResidualMaxima global =
-            sparse::residual_maxima(a, x, b);
-        EXPECT_EQ(merged.residual, global.residual);
-        EXPECT_EQ(merged.row_sum, global.row_sum);
-        EXPECT_EQ(merged.x, global.x);
-        EXPECT_EQ(merged.scaled(n), sparse::scaled_residual(a, x, b));
-        EXPECT_GT(merged.residual, 0.0);
-      }
+  for (const SparseKind kind :
+       {SparseKind::kStencil5, SparseKind::kStencil9, SparseKind::kStencil27,
+        SparseKind::kBanded, SparseKind::kRandom, SparseKind::kBlockDiag}) {
+    const sparse::CsrMatrix a = sparse::generate_matrix(kind, seed, n);
+    for (const int ranks : {1, 3, 16}) {
+      SCOPED_TRACE(std::string(sparse::kind_token(kind)) + " ranks=" +
+                   std::to_string(ranks));
+      std::vector<sparse::ResidualMaxima> parts(
+          static_cast<std::size_t>(ranks));
+      std::vector<double> x;
+      xmpi::Runtime::run(mini_config(ranks), [&](xmpi::Comm& comm) {
+        CgOptions options;
+        options.kind = kind;
+        options.n = n;
+        options.seed = seed;
+        const CgResult r = solve_pcg(comm, options);
+        parts[static_cast<std::size_t>(comm.rank())] = r.residual;
+        if (comm.rank() == 0) x = r.x;
+      });
+      sparse::ResidualMaxima merged;
+      for (const sparse::ResidualMaxima& part : parts) merged.merge(part);
+      const sparse::ResidualMaxima global = sparse::residual_maxima(a, x, b);
+      EXPECT_EQ(merged.residual, global.residual);
+      EXPECT_EQ(merged.row_sum, global.row_sum);
+      EXPECT_EQ(merged.x, global.x);
+      EXPECT_EQ(merged.scaled(n), sparse::scaled_residual(a, x, b));
+      EXPECT_GT(merged.residual, 0.0);
     }
   }
-  sparse::reset_spmv_config();
 }
 
 TEST(CgPrecond, JacobiMatchesSequentialAndConvergesFused) {

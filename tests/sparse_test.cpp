@@ -381,113 +381,97 @@ TEST(GeneratorTest, PatternReachBoundsColumnDistance) {
 }
 
 TEST(SpmvKernelTest, TokensRoundTripAndIsaIsKnown) {
-  EXPECT_EQ(parse_kernel_token("scalar"), SpmvKernel::kScalar);
-  EXPECT_EQ(parse_kernel_token("simd"), SpmvKernel::kSimd);
-  EXPECT_EQ(parse_kernel_token(kernel_token(SpmvKernel::kScalar)),
-            SpmvKernel::kScalar);
-  EXPECT_EQ(parse_kernel_token(kernel_token(SpmvKernel::kSimd)),
-            SpmvKernel::kSimd);
-  EXPECT_THROW(parse_kernel_token("avx"), InvalidArgument);
-  const std::string isa = simd_isa();
-  EXPECT_TRUE(isa == "avx512" || isa == "avx2" || isa == "generic") << isa;
-  // The compiled-in default is the reference kernel every checked-in
-  // baseline was produced with.
-  EXPECT_EQ(SpmvConfig::defaults().kernel, SpmvKernel::kScalar);
-}
-
-TEST(SpmvKernelTest, SimdMatchesScalarToRoundingAndIsDeterministic) {
-  const std::size_t n = 257;  // forces remainder lanes on most rows
-  for (const SparseKind kind :
-       {SparseKind::kStencil5, SparseKind::kBanded, SparseKind::kRandom,
-        SparseKind::kBlockDiag}) {
-    const CsrMatrix a = generate_matrix(kind, 11, n);
-    std::vector<double> x(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      x[i] = std::cos(static_cast<double>(i) * 0.37) * 2.0 - 0.5;
-    }
-    std::vector<double> scalar_y(n);
-    spmv(a, x, scalar_y);
-
-    SpmvConfig config;
-    config.kernel = SpmvKernel::kSimd;
-    set_spmv_config(config);
-    std::vector<double> simd_y(n);
-    std::vector<double> simd_y2(n);
-    spmv(a, x, simd_y);
-    spmv(a, x, simd_y2);
-    reset_spmv_config();
-
-    for (std::size_t i = 0; i < n; ++i) {
-      // Different bracketing, same math: rounding-level agreement only...
-      EXPECT_NEAR(simd_y[i], scalar_y[i],
-                  1e-13 * (std::fabs(scalar_y[i]) + 1.0))
-          << kind_token(kind) << " row " << i;
-      // ...but the simd kernel itself is bit-reproducible.
-      EXPECT_EQ(simd_y[i], simd_y2[i]) << kind_token(kind) << " row " << i;
-    }
-  }
-}
-
-TEST(SpmvKernelTest, SimdReadsRowsWhoseColumnsDoNotIncrease) {
-  // The distributed CG remaps a rank's rows to [owned | ghosts], so a row
-  // may hold ghost slots before its owned columns. Here the first block's
-  // endpoints are 7 apart (12 and 19) although the block is not a run:
-  // only the gather reads the right x values. Integer data keeps every
-  // sum exact, so both kernels must give the plain dot product.
-  CsrMatrix a;
-  a.rows = 1;
-  a.cols = 32;
-  a.row_ptr = {0, 9};
-  a.col_idx = {12, 30, 31, 0, 1, 2, 3, 19, 5};
-  a.values = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0};
-  std::vector<double> x(a.cols);
-  for (std::size_t i = 0; i < a.cols; ++i) x[i] = static_cast<double>(i + 1);
-  double expected = 0.0;
-  for (std::size_t k = 0; k < a.values.size(); ++k) {
-    expected += a.values[k] * x[a.col_idx[k]];
-  }
-  for (const SpmvKernel kernel : {SpmvKernel::kScalar, SpmvKernel::kSimd}) {
-    SpmvConfig config;
-    config.kernel = kernel;
-    set_spmv_config(config);
-    std::vector<double> y(1, 0.0);
-    spmv(a, x, y);
-    EXPECT_EQ(y[0], expected) << kernel_token(kernel);
-  }
-  reset_spmv_config();
+  // One kernel: the names the benchmark's context line records.
+  EXPECT_STREQ(kernel_token(SpmvKernel::kScalar), "scalar");
+  EXPECT_STREQ(kernel_token(active_spmv_config().kernel), "scalar");
+  EXPECT_STREQ(simd_isa(), "none");
 }
 
 TEST(SpmvKernelTest, SpmvRowsPartitionReproducesFullSpmvBitwise) {
-  // The CG overlap path computes interior rows, then boundary rows, as two
-  // spmv_rows calls — under either kernel the union must be bitwise the
-  // full spmv (per-row accumulation does not depend on which call ran it).
+  // The fused CG path computes interior rows, then boundary rows, as two
+  // spmv_rows calls — the union must be bitwise the full spmv (per-row
+  // accumulation does not depend on which call ran it).
   const std::size_t n = 180;
   const CsrMatrix a = generate_matrix(SparseKind::kStencil5, 21, n);
   std::vector<double> x(n);
   for (std::size_t i = 0; i < n; ++i) {
     x[i] = std::sin(static_cast<double>(i) * 1.7) + 0.25;
   }
-  for (const SpmvKernel kernel : {SpmvKernel::kScalar, SpmvKernel::kSimd}) {
-    SpmvConfig config;
-    config.kernel = kernel;
-    set_spmv_config(config);
-    std::vector<double> full(n);
-    spmv(a, x, full);
+  std::vector<double> full(n);
+  spmv(a, x, full);
 
-    // An interleaved split (evens as "interior", odds as "boundary") is
-    // harsher than any contiguous boundary split.
-    std::vector<std::uint32_t> evens;
-    std::vector<std::uint32_t> odds;
-    for (std::uint32_t r = 0; r < n; ++r) {
-      (r % 2 == 0 ? evens : odds).push_back(r);
-    }
-    std::vector<double> split(n, -7.0);
-    spmv_rows(a, x, split, evens);
-    spmv_rows(a, x, split, odds);
-    reset_spmv_config();
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(split[i], full[i])
-          << kernel_token(kernel) << " row " << i;
+  // An interleaved split (evens as "interior", odds as "boundary") is
+  // harsher than any contiguous boundary split.
+  std::vector<std::uint32_t> evens;
+  std::vector<std::uint32_t> odds;
+  for (std::uint32_t r = 0; r < n; ++r) {
+    (r % 2 == 0 ? evens : odds).push_back(r);
+  }
+  std::vector<double> split(n, -7.0);
+  spmv_rows(a, x, split, evens);
+  spmv_rows(a, x, split, odds);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(split[i], full[i]) << "row " << i;
+  }
+}
+
+TEST(SpmvKernelTest, SplitRowsSeparatesGhostReadersInEveryBlock) {
+  // The CG's row blocks (chunk = ceil(n / P)) as solve_pcg generates and
+  // splits them: interior rows read only owned columns, boundary rows read
+  // at least one ghost, and the two ascending lists partition the block.
+  // With SpmvRowsPartitionReproducesFullSpmvBitwise this makes the fused
+  // path's split SpMV bitwise the full one. n = 301 splits unevenly.
+  const std::size_t n = 301;
+  const auto is_ghost = [](std::uint32_t col, std::size_t lo,
+                           std::size_t hi) { return col < lo || col >= hi; };
+  for (const SparseKind kind :
+       {SparseKind::kStencil5, SparseKind::kStencil9, SparseKind::kStencil27,
+        SparseKind::kBanded, SparseKind::kRandom, SparseKind::kBlockDiag}) {
+    for (const std::size_t ranks : {3, 6, 16}) {
+      const std::size_t chunk = (n + ranks - 1) / ranks;
+      std::size_t boundary_total = 0;
+      for (std::size_t rank = 0; rank < ranks; ++rank) {
+        SCOPED_TRACE(std::string(kind_token(kind)) + " P=" +
+                     std::to_string(ranks) + " rank " +
+                     std::to_string(rank));
+        const std::size_t lo = std::min(n, chunk * rank);
+        const std::size_t hi = std::min(n, lo + chunk);
+        const CsrMatrix a = generate_rows(kind, 5, n, lo, hi);
+        const RowSplit split = split_rows(a, lo, hi);
+
+        std::size_t boundary_nnz = 0;
+        for (const std::uint32_t r : split.interior) {
+          ASSERT_LT(r, a.rows);
+          for (std::size_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k) {
+            EXPECT_FALSE(is_ghost(a.col_idx[k], lo, hi)) << "row " << r;
+          }
+        }
+        for (const std::uint32_t r : split.boundary) {
+          ASSERT_LT(r, a.rows);
+          bool reads_ghost = false;
+          for (std::size_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k) {
+            reads_ghost = reads_ghost || is_ghost(a.col_idx[k], lo, hi);
+          }
+          EXPECT_TRUE(reads_ghost) << "row " << r;
+          boundary_nnz += a.row_ptr[r + 1] - a.row_ptr[r];
+        }
+        EXPECT_EQ(split.boundary_nnz, boundary_nnz);
+        boundary_total += split.boundary.size();
+
+        EXPECT_TRUE(std::is_sorted(split.interior.begin(),
+                                   split.interior.end()));
+        EXPECT_TRUE(std::is_sorted(split.boundary.begin(),
+                                   split.boundary.end()));
+        std::vector<std::uint32_t> all;
+        std::merge(split.interior.begin(), split.interior.end(),
+                   split.boundary.begin(), split.boundary.end(),
+                   std::back_inserter(all));
+        // Disjoint and covering: the merged lists are exactly 0..rows-1.
+        ASSERT_EQ(all.size(), a.rows);
+        for (std::size_t r = 0; r < a.rows; ++r) EXPECT_EQ(all[r], r);
+      }
+      // Every family couples rows across some block edge at n = 301.
+      EXPECT_GT(boundary_total, 0u) << kind_token(kind) << " P=" << ranks;
     }
   }
 }

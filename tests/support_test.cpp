@@ -92,6 +92,32 @@ TEST(CliTest, ParsesFlagsAndPositionals) {
   EXPECT_THROW(args.get_int("verbose", 0), Error);  // "true" is not an int
 }
 
+TEST(CliTest, NumbersRejectTrailingCharactersAndOverflow) {
+  const char* argv[] = {"prog", "--n=1024abc", "--big=99999999999999999999999",
+                        "--tol=1e-3x", "--huge=1e999", "--ok=-12",
+                        "--half=0.5"};
+  const CliArgs args(7, argv);
+  const auto message_of = [&](auto&& read) {
+    try {
+      read();
+    } catch (const InvalidArgument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const std::string trailing = message_of([&] { (void)args.get_int("n", 0); });
+  EXPECT_NE(trailing.find("--n"), std::string::npos) << trailing;
+  EXPECT_NE(trailing.find("1024abc"), std::string::npos) << trailing;
+  const std::string overflow =
+      message_of([&] { (void)args.get_int("big", 0); });
+  EXPECT_NE(overflow.find("--big"), std::string::npos) << overflow;
+  EXPECT_NE(overflow.find("out of range"), std::string::npos) << overflow;
+  EXPECT_THROW((void)args.get_double("tol", 0.0), InvalidArgument);
+  EXPECT_THROW((void)args.get_double("huge", 0.0), InvalidArgument);
+  EXPECT_EQ(args.get_int("ok", 0), -12);
+  EXPECT_DOUBLE_EQ(args.get_double("half", 0.0), 0.5);
+}
+
 TEST(RngTest, DeterministicAndInRange) {
   Rng a(123);
   Rng b(123);
