@@ -110,11 +110,12 @@ int main() {
         const CellResult cell = evaluate(machine, n, ranks);
         if (cell.t_ime < cell.t_sca) {
           if (!wins.empty()) wins += ", ";
-          wins += "(" + std::to_string(n) + "," + std::to_string(ranks) + ")";
+          wins.append("(").append(std::to_string(n)).append(",");
+          wins.append(std::to_string(ranks)).append(")");
         }
       }
     }
-    table.add_row({"x" + format_fixed(scale, 1),
+    table.add_row({std::string("x").append(format_fixed(scale, 1)),
                    wins.empty() ? "none" : wins});
   }
   table.print(std::cout);

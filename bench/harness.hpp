@@ -1,7 +1,6 @@
-// Plumbing shared by the perf harnesses (bench_batch, bench_cg,
-// bench_collectives, bench_kernels, bench_mixed, bench_prof, bench_scale,
-// bench_serve, bench_sparse): flag parsing, the JSON report,
-// pass/fail gates and the checked-in baselines under bench/baselines/.
+// Plumbing shared by the perf harnesses (bench_scale, bench_serve): flag
+// parsing, the JSON report, pass/fail gates and the checked-in baselines
+// under bench/baselines/.
 //
 // A harness parses its flags with parse_flags, fills the object from
 // new_report and writes it with write_report, and records every pass/fail
@@ -236,19 +235,6 @@ double seconds_of(F&& body) {
   const Stopwatch wall;
   body();
   return wall.elapsed_s();
-}
-
-/// Best-of-N host seconds of `body`: the first (warm-up) call counts, then
-/// 3 more calls, 1 for calls over 2 s and 6 for calls under 20 ms.
-template <typename F>
-double best_seconds(F&& body) {
-  const double first = seconds_of(body);
-  int reps = 3;
-  if (first > 2.0) reps = 1;
-  if (first < 0.02) reps = 6;
-  double best = first;
-  for (int r = 0; r < reps; ++r) best = std::min(best, seconds_of(body));
-  return best;
 }
 
 /// Fully loaded mini-cluster nodes (2 sockets x 8 cores), just enough of

@@ -81,9 +81,9 @@ class NetworkModel {
 
   // -- scalable collective schedules (CollectiveMode::kScalable) ------------
   //
-  // Analytic mirrors of the xmpi schedules, for the perfsim tier and for
-  // sanity-checking bench_collectives: the executed virtual durations
-  // emerge from the same alpha/beta/overhead terms these closed forms sum.
+  // Analytic mirrors of the xmpi schedules, for the perfsim tier: the
+  // executed virtual durations emerge from the same alpha/beta/overhead
+  // terms these closed forms sum.
 
   /// Ring allgather: P-1 sequential steps, each forwarding one
   /// `chunk_bytes` block (every rank sends and receives one block per

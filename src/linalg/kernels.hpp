@@ -7,8 +7,8 @@
 //     MR x NR register-tiled micro-kernel; the triangular solves invert
 //     small diagonal blocks and push the bulk through GEMM; dger tiles its
 //     columns. Block sizes come from KernelConfig (kernel_config.hpp).
-//   * the retained naive reference path (`*_naive`), used for testing, for
-//     the perf-regression harness, and via KernelConfig::blocked = false.
+//   * the retained naive reference path (`*_naive`), used for testing and
+//     via KernelConfig::blocked = false.
 //
 // Each kernel documents its flop count; the distributed solvers charge
 // those counts to xmpi's virtual clock via Comm::compute. Charged flops are
@@ -28,7 +28,7 @@
 // fp32 callers use the generic names with an explicit type, e.g.
 // `gemm<float>(...)`. The fp32 engine gets twice the SIMD lanes per
 // register and prefers the NR-doubled variant of the configured register
-// tile — the 2x-lane speedup bench_kernels tracks.
+// tile — the 2x-lane speedup perfbench's linalg.sgemm_gflops tracks.
 #pragma once
 
 #include <cstddef>
@@ -157,7 +157,7 @@ void dtrsm_upper(ConstMatrixView u, MatrixView b);
 // The naive references are the original triple-loop kernels (kept honest:
 // no zero-skip branches). The *_blocked entry points always run the engine
 // regardless of the active config's `blocked` flag or size heuristics —
-// the tests and the perf harness compare the two directly.
+// the tests compare the two directly.
 
 void dgemm_naive(double alpha, ConstMatrixView a, ConstMatrixView b,
                  double beta, MatrixView c);

@@ -10,7 +10,6 @@
 #include "solvers/gepp/pdgesv.hpp"
 #include "solvers/ime/imep.hpp"
 #include "sparse/csr.hpp"
-#include "support/csv.hpp"
 #include "support/error.hpp"
 #include "support/stats.hpp"
 #include "support/stopwatch.hpp"
@@ -288,72 +287,6 @@ void print_campaign_table(std::ostream& os, std::span<const JobResult> jobs) {
     table.add_row(row);
   }
   table.print(os);
-}
-
-void write_campaign_csv(std::ostream& os, std::span<const JobResult> jobs) {
-  const bool mixed = any_mixed(jobs);
-  const bool cg = any_cg(jobs);
-  const bool precond = any_precond(jobs);
-  CsvWriter csv(os);
-  std::vector<std::string> header = {"algorithm", "n", "ranks", "layout",
-                                     "repetition", "duration_s", "pkg0_j",
-                                     "pkg1_j", "dram0_j", "dram1_j",
-                                     "total_j", "power_w", "residual",
-                                     "host_s"};
-  if (cg) {
-    header.insert(header.begin() + 1, "matrix");
-    if (precond) header.insert(header.begin() + 2, "precond");
-    header.push_back("cg_iters");
-    header.push_back("nnz");
-    header.push_back("halo_msgs");
-    header.push_back("halo_bytes");
-  }
-  if (mixed) {
-    header.insert(header.begin() + 1, "precision");
-    header.push_back("refine_iters");
-    header.push_back("fell_back");
-  }
-  csv.write_row(header);
-  for (const JobResult& job : jobs) {
-    const bool job_cg = job.spec.algorithm == perfsim::Algorithm::kCg;
-    for (std::size_t i = 0; i < job.repetitions.size(); ++i) {
-      const RepetitionResult& rep = job.repetitions[i];
-      const RunMeasurement& m = rep.measurement;
-      std::vector<std::string> row = {
-          std::string(perfsim::to_string(job.spec.algorithm)),
-          std::to_string(job.spec.n),
-          std::to_string(job.spec.ranks),
-          hw::to_string(job.spec.layout),
-          std::to_string(i),
-          format_fixed(m.duration_s, 9),
-          format_fixed(m.pkg_j[0], 6),
-          format_fixed(m.pkg_j[1], 6),
-          format_fixed(m.dram_j[0], 6),
-          format_fixed(m.dram_j[1], 6),
-          format_fixed(m.total_j(), 6),
-          format_fixed(m.avg_power_w(), 3),
-          format_fixed(rep.residual, 18),
-          format_fixed(rep.host_seconds, 4)};
-      if (cg) {
-        row.insert(row.begin() + 1,
-                   job_cg ? sparse::kind_token(job.spec.matrix) : "-");
-        if (precond) {
-          row.insert(row.begin() + 2,
-                     job_cg ? solvers::precond_token(job.spec.precond) : "-");
-        }
-        row.push_back(job_cg ? std::to_string(rep.cg_iters) : "0");
-        row.push_back(job_cg ? std::to_string(rep.nnz) : "0");
-        row.push_back(std::to_string(rep.halo_messages));
-        row.push_back(std::to_string(rep.halo_bytes));
-      }
-      if (mixed) {
-        row.insert(row.begin() + 1, perfsim::to_string(job.spec.precision));
-        row.push_back(std::to_string(rep.refine_iters));
-        row.push_back(rep.fell_back ? "1" : "0");
-      }
-      csv.write_row(row);
-    }
-  }
 }
 
 }  // namespace plin::monitor

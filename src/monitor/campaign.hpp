@@ -1,7 +1,8 @@
 // Campaign harness — the paper's testing framework (§4, §5.1): runs a
 // configured job (algorithm, matrix size, ranks, layout) a number of times
 // under the white-box monitor, collects per-repetition measurements and
-// stores results both human-readable and as CSV.
+// prints them as a human-readable table (campaign grids write their CSV
+// through batch::write_report_csv).
 //
 // The input system is generated from a fixed seed — the equivalent of the
 // paper loading the system from a file "to ensure consistent input data
@@ -88,8 +89,5 @@ JobResult run_job(const hw::MachineSpec& machine, const JobSpec& spec,
 
 /// Human-readable results table (the framework's "human-readable format").
 void print_campaign_table(std::ostream& os, std::span<const JobResult> jobs);
-
-/// Machine-readable CSV with one row per repetition.
-void write_campaign_csv(std::ostream& os, std::span<const JobResult> jobs);
 
 }  // namespace plin::monitor

@@ -7,8 +7,7 @@
 //
 // Cost model: every hook is a couple of stores into a preallocated ring.
 // When tracing is disabled the hooks are never reached (Comm keeps a null
-// recorder pointer); when the subsystem is compiled out (PLIN_PROF_DISABLED
-// / -DPLIN_PROF=OFF) the null check itself folds away via kCompiledIn.
+// recorder pointer).
 //
 // The span ring drops the *oldest* spans on overflow — a deterministic
 // program-order eviction, so an overflowing trace is still byte-identical
@@ -26,12 +25,6 @@
 #include "prof/span.hpp"
 
 namespace plin::prof {
-
-#if defined(PLIN_PROF_DISABLED)
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
 
 /// Default span-ring capacity per rank; override via
 /// RunConfig::trace_ring_spans.

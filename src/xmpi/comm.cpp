@@ -32,13 +32,7 @@ RankState& Comm::me() const { return world_->rank_state(world_rank()); }
 
 double Comm::now() const { return me().clock.now(); }
 
-prof::SpanRecorder* Comm::recorder() const {
-  if constexpr (prof::kCompiledIn) {
-    return me().prof.get();
-  } else {
-    return nullptr;
-  }
-}
+prof::SpanRecorder* Comm::recorder() const { return me().prof.get(); }
 
 void Comm::prof_phase_begin(std::string_view name) {
   if (prof::SpanRecorder* rec = recorder()) rec->begin_phase(name, now());

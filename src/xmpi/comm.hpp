@@ -577,13 +577,16 @@ void Comm::gather(std::span<const T> data, std::span<T> out, int root) {
   }
   PLIN_CHECK_MSG(out.size() >= data.size() * static_cast<std::size_t>(size()),
                  "gather output span too small");
+  // Slots are addressed by pointer, not out.subspan(offset, count): the
+  // subspan overload branches on count == dynamic_extent, and GCC then
+  // warns about a memcpy of SIZE_MAX elements on that impossible path.
+  const std::size_t count = data.size();
   for (int src = 0; src < size(); ++src) {
-    std::span<T> slot = out.subspan(
-        static_cast<std::size_t>(src) * data.size(), data.size());
+    T* slot = out.data() + static_cast<std::size_t>(src) * count;
     if (src == rank_) {
-      std::memcpy(slot.data(), data.data(), data.size() * sizeof(T));
+      std::memcpy(slot, data.data(), count * sizeof(T));
     } else {
-      recv(slot, src, internal_tag::kGather);
+      recv(std::span<T>(slot, count), src, internal_tag::kGather);
     }
   }
   prof_collective_end();

@@ -51,8 +51,6 @@ RunResult Runtime::run(const RunConfig& config, const RankMain& rank_main) {
   world.configure_transport(config.transport);
 
   // Tracing is requested explicitly or implied by an output path.
-  // set_tracing additionally requires prof::kCompiledIn; world.tracing()
-  // reports what actually happened.
   const bool want_trace = config.trace || !config.chrome_trace_path.empty() ||
                           !config.trace_dir.empty();
   const std::size_t ring_spans = config.trace_ring_spans != 0

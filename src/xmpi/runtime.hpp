@@ -106,7 +106,7 @@ struct RunResult {
   /// Aggregated traffic counters (send-side classes + receive mirror).
   TrafficCounters traffic;
   /// Per-world-rank traffic — through_bytes() of rank 0 is the root-funnel
-  /// load the scalable collectives eliminate (bench_collectives).
+  /// load the scalable collectives eliminate.
   std::vector<TrafficCounters> rank_traffic;
   /// Per-world-rank sparse peer traffic (sorted by peer); filled only when
   /// RunConfig::peer_traffic is set.

@@ -87,7 +87,7 @@ struct TrafficCounters {
   /// Receive-side mirror (all classes combined). Per rank, send + recv
   /// counters together give the total volume that flows *through* the rank
   /// — the quantity the root-funnel collectives concentrate on rank 0 and
-  /// the scalable schedules spread out (bench_collectives).
+  /// the scalable schedules spread out.
   std::uint64_t recv_messages = 0;
   std::uint64_t recv_bytes = 0;
   /// Halo-exchange payloads (Comm::send_halo / isend_halo) — a subset of

@@ -121,7 +121,7 @@ TrafficCounters World::total_traffic() const {
 }
 
 void World::set_tracing(bool enabled, std::size_t ring_spans) {
-  tracing_ = enabled && prof::kCompiledIn;
+  tracing_ = enabled;
   const std::size_t capacity =
       ring_spans != 0 ? ring_spans : prof::kDefaultRingSpans;
   for (int r = 0; r < rank_count_; ++r) {

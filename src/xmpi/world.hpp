@@ -95,8 +95,7 @@ class World {
 
   /// Enables span tracing: allocates one prof::SpanRecorder per rank with
   /// the given ring capacity (0 → prof::kDefaultRingSpans). Disabling
-  /// drops the recorders. No-op when the prof subsystem is compiled out
-  /// (-DPLIN_PROF=OFF). See docs/tracing.md.
+  /// drops the recorders. See docs/tracing.md.
   void set_tracing(bool enabled, std::size_t ring_spans = 0);
   bool tracing() const { return tracing_; }
 

@@ -21,20 +21,31 @@ namespace {
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-Matrix random_matrix(std::size_t rows, std::size_t cols, std::uint64_t seed) {
-  Matrix m(rows, cols);
+template <typename T = double>
+BasicMatrix<T> random_matrix(std::size_t rows, std::size_t cols,
+                             std::uint64_t seed) {
+  BasicMatrix<T> m(rows, cols);
   Rng rng(seed);
-  for (double& v : m.flat()) v = rng.uniform(-1.0, 1.0);
+  for (T& v : m.flat()) v = static_cast<T>(rng.uniform(-1.0, 1.0));
   return m;
 }
 
 /// max |x - y| over two same-shape matrices.
-double max_abs_diff(const Matrix& x, const Matrix& y) {
+template <typename T>
+double max_abs_diff(const BasicMatrix<T>& x, const BasicMatrix<T>& y) {
   double d = 0.0;
   for (std::size_t i = 0; i < x.flat().size(); ++i) {
-    d = std::max(d, std::fabs(x.flat()[i] - y.flat()[i]));
+    d = std::max(d, std::fabs(static_cast<double>(x.flat()[i]) -
+                              static_cast<double>(y.flat()[i])));
   }
   return d;
+}
+
+/// Naive-vs-blocked budget for fp32, the precision mixed GEPP factorizes
+/// in: the paths round partial sums differently, so it grows with the
+/// reduction length k.
+double fp32_budget(std::size_t k) {
+  return 1e-3 * static_cast<double>(k) * 16.0;
 }
 
 /// Installs a tiny blocking config so every test shape straddles block
@@ -73,6 +84,26 @@ TEST_F(KernelsBlockedTest, GemmMatchesNaiveOverEdgeShapes) {
                   1e-14 * static_cast<double>(k + 1))
             << "m=" << m << " n=" << n << " k=" << k;
       }
+    }
+  }
+  // fp32 on the shapes the solvers drive: square, panel (tall-skinny C,
+  // the L21 * U12 product) and trailing (the rank-64 update), under the
+  // tiny config and then the default one.
+  const std::size_t fp32_shapes[][3] = {
+      {64, 64, 64},  {128, 128, 128}, {192, 192, 192}, {128, 64, 64},
+      {192, 64, 64}, {128, 128, 64},  {192, 192, 64}};
+  for (const bool tiny : {true, false}) {
+    if (!tiny) reset_kernel_config();
+    for (const auto& [m, n, k] : fp32_shapes) {
+      const auto a = random_matrix<float>(m, k, 101 + m + n + k);
+      const auto b = random_matrix<float>(k, n, 202 + m + n + k);
+      const auto c0 = random_matrix<float>(m, n, 303 + m + n + k);
+      BasicMatrix<float> c_naive = c0;
+      BasicMatrix<float> c_blocked = c0;
+      gemm_naive<float>(1.0f, a.view(), b.view(), 0.5f, c_naive.view());
+      gemm_blocked<float>(1.0f, a.view(), b.view(), 0.5f, c_blocked.view());
+      EXPECT_LE(max_abs_diff(c_naive, c_blocked), fp32_budget(k))
+          << "fp32 m=" << m << " n=" << n << " k=" << k << " tiny=" << tiny;
     }
   }
 }
@@ -269,6 +300,23 @@ TEST_F(KernelsBlockedTest, TrsmLowerUnitMatchesNaive) {
           << "n=" << n << " m=" << m;
     }
   }
+  // fp32 at 192 x 192 under the default config. The strict lower triangle
+  // is scaled by 1/n: unit-lower with O(1) entries grows the solution
+  // exponentially in n, which would swamp the comparison.
+  reset_kernel_config();
+  const std::size_t n = 192;
+  auto l = random_matrix<float>(n, n, 404 + n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < i; ++j) l(i, j) /= static_cast<float>(n);
+    for (std::size_t j = i + 1; j < n; ++j) l(i, j) = 0.0f;
+    l(i, i) = 1.0f;
+  }
+  const auto b0 = random_matrix<float>(n, n, 505 + n);
+  BasicMatrix<float> x_naive = b0;
+  BasicMatrix<float> x_blocked = b0;
+  trsm_lower_unit_naive<float>(l.view(), x_naive.view());
+  trsm_lower_unit_blocked<float>(l.view(), x_blocked.view());
+  EXPECT_LE(max_abs_diff(x_naive, x_blocked), fp32_budget(n));
 }
 
 TEST_F(KernelsBlockedTest, TrsmUpperMatchesNaive) {

@@ -127,15 +127,15 @@ INSTANTIATE_TEST_SUITE_P(
                       TierCase{384, 16, hw::LoadLayout::kFullLoad},
                       TierCase{512, 16, hw::LoadLayout::kFullLoad}),
     [](const ::testing::TestParamInfo<TierCase>& info) {
-      return "n" + std::to_string(info.param.n) + "_r" +
-             std::to_string(info.param.ranks) + "_" +
-             std::string(hw::to_string(info.param.layout) ==
-                                 std::string("full-load")
-                             ? "full"
-                             : (std::string(hw::to_string(info.param.layout)) ==
-                                        "half-load-1socket"
-                                    ? "half1"
-                                    : "half2"));
+      const std::string layout = hw::to_string(info.param.layout);
+      std::string name = "n";
+      name += std::to_string(info.param.n);
+      name += "_r";
+      name += std::to_string(info.param.ranks);
+      name += layout == "full-load"           ? "_full"
+              : layout == "half-load-1socket" ? "_half1"
+                                              : "_half2";
+      return name;
     });
 
 }  // namespace

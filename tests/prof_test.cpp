@@ -11,12 +11,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hwmodel/placement.hpp"
 #include "prof/analysis.hpp"
 #include "prof/export.hpp"
-#include "prof/recorder.hpp"
 #include "solvers/gepp/pdgesv.hpp"
 #include "solvers/ime/imep.hpp"
 #include "support/json.hpp"
@@ -77,18 +77,47 @@ std::string canonical_bytes(const TraceData& trace) {
          critical_path_csv(path);
 }
 
-TEST(ProfTest, CompiledIn) {
-  // This suite only runs in the default configuration; a -DPLIN_PROF=OFF
-  // build compiles the hooks out and is covered by bench_prof
-  // (compiled_in=false in BENCH_prof.json), not by these tests.
-  EXPECT_TRUE(kCompiledIn);
-}
-
 TEST(ProfTest, DisabledRunsCarryNoTrace) {
   xmpi::RunConfig config = mini_config(8);
   config.trace = false;
   const xmpi::RunResult result = xmpi::Runtime::run(config, mixed_workload);
   EXPECT_EQ(result.trace, nullptr);
+}
+
+TEST(ProfTest, TracingLeavesSimulatedOutputsBitIdentical) {
+  // Spans are recorded beside the virtual clocks, never on them: a traced
+  // run must reproduce the untraced duration and energy bit for bit, on a
+  // collective-dense spawn at 144 ranks and on a GEPP solve.
+  const auto spawn_collective = [](xmpi::Comm& comm) {
+    double value = comm.rank() == 0 ? 1.5 : 0.0;
+    for (int round = 0; round < 4; ++round) {
+      comm.barrier();
+      comm.bcast_value(value, /*root=*/0);
+      (void)comm.allreduce_value(1.0, xmpi::ReduceOp::kSum);
+    }
+  };
+  const auto gepp = [](xmpi::Comm& comm) {
+    solvers::PdgesvOptions options;
+    options.n = 576;
+    options.seed = 7;
+    (void)solve_pdgesv(comm, options);
+  };
+  const std::pair<int, xmpi::Runtime::RankMain> cases[] = {
+      {144, spawn_collective}, {16, gepp}};
+  for (const auto& [ranks, body] : cases) {
+    // Fully loaded 2x8-core nodes, just enough of them.
+    xmpi::RunConfig config;
+    config.machine = hw::mini_cluster((ranks + 15) / 16, 8);
+    config.placement =
+        hw::make_placement(ranks, hw::LoadLayout::kFullLoad, config.machine);
+    const xmpi::RunResult off = xmpi::Runtime::run(config, body);
+    config.trace = true;
+    const xmpi::RunResult on = xmpi::Runtime::run(config, body);
+    EXPECT_EQ(off.trace, nullptr) << ranks;
+    EXPECT_NE(on.trace, nullptr) << ranks;
+    EXPECT_EQ(on.duration_s, off.duration_s) << ranks;
+    EXPECT_EQ(on.energy.total_j(), off.energy.total_j()) << ranks;
+  }
 }
 
 TEST(ProfTest, CanonicalBytesIdenticalAcrossWorkers) {

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -164,6 +165,54 @@ TEST(ScalableScaleTest, BruckAllgatherMatchesTreeAbove128Ranks) {
   }
   ASSERT_EQ(tree_out.size(), kChunk * kRanks);
   expect_bits_equal(tree_out, bruck_out);
+}
+
+TEST(ScalableScaleTest, ScalableSchedulesHalveRankZeroTrafficAt144Ranks) {
+  // The tree allgather (gather, then bcast) and allreduce (reduce, then
+  // bcast) funnel everything through rank 0; the Bruck and reduce-scatter +
+  // allgather schedules spread it. Two rounds each of 2 KiB blocks and of
+  // a 32 KiB vector; bytes sent plus received by rank 0.
+  struct Case {
+    const char* name;
+    void (*body)(Comm&);
+    std::uint64_t tree_bytes;
+    std::uint64_t scalable_bytes;
+  };
+  const Case cases[] = {
+      {"allgather",
+       [](Comm& comm) {
+         std::vector<double> mine(256, comm.rank() + 0.25);
+         std::vector<double> all(256 * static_cast<std::size_t>(comm.size()));
+         for (int round = 0; round < 2; ++round) {
+           comm.allgather(std::span<const double>(mine),
+                          std::span<double>(all));
+         }
+       },
+       5304320, 1171456},
+      {"allreduce",
+       [](Comm& comm) {
+         std::vector<double> data(4096, comm.rank() * 1e-3 + 1.0);
+         std::vector<double> out(4096);
+         for (int round = 0; round < 2; ++round) {
+           comm.allreduce(std::span<const double>(data),
+                          std::span<double>(out), ReduceOp::kSum);
+         }
+       },
+       1048576, 326144},
+  };
+  for (const Case& c : cases) {
+    const auto root_bytes = [&](CollectiveMode mode) {
+      return Runtime::run(scale_config(144, mode), c.body)
+          .rank_traffic.front()
+          .through_bytes();
+    };
+    const std::uint64_t tree = root_bytes(CollectiveMode::kTree);
+    const std::uint64_t scalable = root_bytes(CollectiveMode::kScalable);
+    EXPECT_EQ(tree, c.tree_bytes) << c.name;
+    EXPECT_EQ(scalable, c.scalable_bytes) << c.name;
+    EXPECT_GE(static_cast<double>(tree), 2.0 * static_cast<double>(scalable))
+        << c.name;
+  }
 }
 
 // ---- sparse per-peer accounting --------------------------------------------

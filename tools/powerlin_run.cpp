@@ -8,6 +8,7 @@
 // rejected (a mistyped manifest or flag fails loudly instead of being
 // silently ignored).
 #include <iostream>
+#include <utility>
 
 #include "batch/spec.hpp"
 #include "hwmodel/machine.hpp"
@@ -66,6 +67,15 @@ Campaign mode (batch orchestrator, docs/campaign.md):
   --version    print the release version and exit
   --help       this text
 )";
+
+/// Every numeric flag (true: a real number, false: an integer). main parses
+/// each one present up front, so a malformed value fails even in a mode
+/// that never reads it.
+constexpr std::pair<const char*, bool> kNumericFlags[] = {
+    {"n", false},       {"ranks", false},      {"nb", false},
+    {"seed", false},    {"reps", false},       {"iterations", false},
+    {"workers", false}, {"max-jobs", false},   {"tol", true},
+    {"dominance", true}};
 
 hw::LoadLayout parse_layout(const std::string& name) {
   return batch::parse_layout_token(name);
@@ -241,6 +251,13 @@ int main(int argc, char** argv) {
     if (args.get_bool("version", false)) {
       std::cout << "powerlin_run " << plin::kVersion << "\n";
       return 0;
+    }
+    for (const auto& [name, real] : kNumericFlags) {
+      if (real) {
+        (void)args.get_double(name, 0.0);
+      } else {
+        (void)args.get_int(name, 0);
+      }
     }
     if (args.has("campaign")) return run_campaign_mode(args);
     const std::string tier = args.get("tier", "numeric");
